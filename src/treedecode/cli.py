@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -105,7 +104,6 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 
 def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
-    # --seed is reserved for stochastic scorers; the three built-ins are deterministic.
     if args.scorer == "uniform":
         shared = UniformScorer()
         return lambda doc: shared
@@ -133,11 +131,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
             return doc.id, None
         return doc.id, result
 
-    workers = args.workers if args.workers is not None else (os.cpu_count() or 1)
-    if workers > 1:
+    if args.workers > 1:
         # Threads keep scorers shared and executor.map preserves input order,
         # so output is identical to the serial run.
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(decode_one, documents))
     else:
         outcomes = [decode_one(doc) for doc in documents]
@@ -262,12 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scorer", choices=["uniform", "oracle", "bigram"], default="uniform")
     sub.add_argument("--model", help="bigram model file (with --scorer bigram)")
     sub.add_argument(
-        "--seed", type=int, default=0,
-        help="seed for stochastic scorers; the built-in scorers are deterministic",
-    )
-    sub.add_argument(
-        "--workers", type=_positive_int, default=None,
-        help="parallel decoders (default: available CPUs); output order is preserved",
+        "--workers", type=_positive_int, default=1,
+        help="parallel decoder threads (default 1); output order is preserved",
     )
 
     sub = add("postprocess", cmd_postprocess, "apply ancestor closure to predicted label sets")

@@ -16,13 +16,22 @@ consistent no matter how adversarial the scorer is.
 
 The root token opens every sequence deterministically and carries no
 probability mass.
+
+Beam search ranks hypotheses by ``(-logprob, lexicographic tokens)``,
+comparing tokens with ``token_sort_key`` (labels by name, then ``<eos>``,
+then POP), so results are deterministic under exact ties. A step costs
+O(beam * |V|) to score and rank the expansions with constant-size keys;
+only the ``beam_width`` survivors are built, each with one prefix copy and
+one validated automaton ``step``.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Protocol
 
 from .errors import (
@@ -65,18 +74,19 @@ class DecoderState:
 
     stack: tuple[str, ...]
     visited: frozenset[str]
-    prefix_len: int
     terminal: bool = False
 
 
 @dataclass(frozen=True)
 class Hypothesis:
-    """A partial decode: token prefix, automaton state, accumulated log probability."""
+    """A partial decode: token prefix, automaton state, accumulated log probability.
+
+    ``state`` is None in unconstrained decoding, which has no automaton.
+    """
 
     tokens: tuple[str, ...]
-    state: DecoderState
+    state: DecoderState | None
     logprob: float
-    complete: bool
 
 
 @dataclass(frozen=True)
@@ -104,7 +114,7 @@ class DecodedSequence:
 
 def initial_state(tax: Taxonomy) -> DecoderState:
     """State after the forced root token."""
-    return DecoderState(stack=(tax.root,), visited=frozenset(), prefix_len=1)
+    return DecoderState(stack=(tax.root,), visited=frozenset())
 
 
 def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
@@ -126,10 +136,10 @@ def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
     if token not in vocab:
         raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
     if token == POP:
-        return DecoderState(state.stack[:-1], state.visited, state.prefix_len + 1)
+        return DecoderState(state.stack[:-1], state.visited)
     if token == EOS:
-        return DecoderState(state.stack, state.visited, state.prefix_len + 1, terminal=True)
-    return DecoderState(state.stack + (token,), state.visited | {token}, state.prefix_len + 1)
+        return DecoderState(state.stack, state.visited, terminal=True)
+    return DecoderState(state.stack + (token,), state.visited | {token})
 
 
 def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
@@ -175,6 +185,21 @@ def restricted_softmax(
     return {t: math.exp(lp) for t, lp in restricted_log_softmax(raw_scores, vocab).items()}
 
 
+def _masked_log_probs(
+    scorer: Scorer,
+    text: str,
+    prefix: tuple[str, ...],
+    candidates: Sequence[str],
+    vocab: frozenset[str],
+) -> dict[str, float]:
+    raw = scorer.score(text, prefix, candidates)
+    try:
+        masked = {t: raw[t] for t in candidates}
+    except KeyError as missing:
+        raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
+    return restricted_log_softmax(masked, vocab)
+
+
 def _step_log_probs(
     tax: Taxonomy,
     scorer: Scorer,
@@ -183,13 +208,7 @@ def _step_log_probs(
     state: DecoderState,
 ) -> dict[str, float]:
     vocab = dynamic_vocabulary(tax, state)
-    candidates = sorted(vocab, key=token_sort_key)
-    raw = scorer.score(text, prefix, candidates)
-    try:
-        masked = {t: raw[t] for t in candidates}
-    except KeyError as missing:
-        raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
-    return restricted_log_softmax(masked, vocab)
+    return _masked_log_probs(scorer, text, prefix, sorted(vocab, key=token_sort_key), vocab)
 
 
 def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) -> float:
@@ -214,18 +233,75 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     return total
 
 
-def _strip_eos(tokens: tuple[str, ...]) -> tuple[str, ...]:
-    return tokens[:-1] if tokens and tokens[-1] == EOS else tokens
-
-
-def _hypothesis_order(hyp: Hypothesis):
-    # Rank by log probability, then lexicographic token order for determinism.
-    return (-hyp.logprob, sequence_sort_key(hyp.tokens))
-
-
 def max_decode_length(tax: Taxonomy) -> int:
     """Token budget per decode: the longest valid sequence plus <eos> slack."""
     return 2 * len(tax) + 2
+
+
+def _beam(
+    tax: Taxonomy, scorer: Scorer, text: str, beam_width: int, constrained: bool
+) -> list[Hypothesis]:
+    """The beam loop of both decode modes; returns the banked hypotheses, best first.
+
+    ``active`` is kept in lexicographic token order. Its hypotheses all
+    have the same length, so an expansion's full key ``(-logprob,
+    sequence_sort_key(tokens))`` orders exactly like ``(-logprob, parent
+    rank, token_sort_key(token))``. Only the ``beam_width`` smallest of
+    those short keys become hypotheses; re-sorting them by (parent rank,
+    token) gives the next step's ranks. Banked hypotheses differ in
+    length, so each gets its full key once, when it is banked.
+    """
+    if beam_width < 1:
+        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
+    limit = max_decode_length(tax)
+    if constrained:
+        start = initial_state(tax)
+    else:
+        alphabet = full_alphabet(tax)
+        vocab = frozenset(alphabet)
+        start = None
+    active = [Hypothesis((tax.root,), start, 0.0)]
+    banked: list[tuple[tuple, Hypothesis]] = []  # ((-logprob, sequence_sort_key), hyp)
+    while active:
+        if constrained and len(active[0].tokens) >= limit:
+            raise DecodeOverflowError(
+                f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
+            )
+        expansions = []  # (-logprob, parent rank, token_sort_key, token)
+        for rank, hyp in enumerate(active):
+            if constrained:
+                log_probs = _step_log_probs(tax, scorer, text, hyp.tokens, hyp.state)
+            else:
+                log_probs = _masked_log_probs(scorer, text, hyp.tokens, alphabet, vocab)
+            for token, lp in log_probs.items():
+                expansions.append((-(hyp.logprob + lp), rank, token_sort_key(token), token))
+        survivors = heapq.nsmallest(beam_width, expansions)
+        survivors.sort(key=itemgetter(1, 2))
+        parents, active = active, []
+        for negative, rank, _, token in survivors:
+            parent = parents[rank]
+            tokens = parent.tokens + (token,)
+            state = step(tax, parent.state, token) if constrained else None
+            hyp = Hypothesis(tokens, state, -negative)
+            if token == EOS or (not constrained and len(tokens) >= limit):
+                banked.append(((negative, sequence_sort_key(tokens)), hyp))
+            else:
+                active.append(hyp)
+        banked.sort(key=itemgetter(0))
+        del banked[beam_width:]
+        if (
+            len(banked) == beam_width
+            and active
+            and max(hyp.logprob for hyp in active) < banked[-1][1].logprob
+        ):
+            break
+    return [hyp for _, hyp in banked]
+
+
+def _decoded(tax: Taxonomy, hyp: Hypothesis) -> DecodedSequence:
+    stored = hyp.tokens[:-1] if hyp.tokens[-1] == EOS else hyp.tokens
+    labels = frozenset(t for t in stored if t != POP and t != tax.root)
+    return DecodedSequence(stored, labels, hyp.logprob)
 
 
 def constrained_beam_search(
@@ -239,49 +315,12 @@ def constrained_beam_search(
     ``beam_width`` completes are banked and no active hypothesis can
     still beat the worst of them (ties keep searching so tie-breaks stay
     lexicographic), when no active hypotheses remain, or at the length
-    budget. Returns up to ``beam_width`` banked hypotheses, best first.
-    Every result passes sequence validation, so the top label set is
-    consistent for any scorer.
+    budget, which raises DecodeOverflowError. Returns up to
+    ``beam_width`` banked hypotheses, best first. Every result passes
+    sequence validation, so the top label set is consistent for any
+    scorer.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    limit = max_decode_length(tax)
-    active = [Hypothesis((tax.root,), initial_state(tax), 0.0, complete=False)]
-    banked: list[Hypothesis] = []
-    while active:
-        if len(active[0].tokens) >= limit:
-            raise DecodeOverflowError(
-                f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
-            )
-        expansions: list[Hypothesis] = []
-        for hyp in active:
-            log_probs = _step_log_probs(tax, scorer, text, hyp.tokens, hyp.state)
-            for token, lp in log_probs.items():
-                expansions.append(
-                    Hypothesis(
-                        tokens=hyp.tokens + (token,),
-                        state=step(tax, hyp.state, token),
-                        logprob=hyp.logprob + lp,
-                        complete=token == EOS,
-                    )
-                )
-        expansions.sort(key=_hypothesis_order)
-        active = []
-        for hyp in expansions[:beam_width]:
-            if hyp.complete:
-                banked.append(hyp)
-            else:
-                active.append(hyp)
-        banked.sort(key=_hypothesis_order)
-        del banked[beam_width:]
-        if len(banked) == beam_width and active and active[0].logprob < banked[-1].logprob:
-            break
-    results = []
-    for hyp in banked:
-        stored = _strip_eos(hyp.tokens)
-        labels = frozenset(t for t in stored if t != POP and t != tax.root)
-        results.append(DecodedSequence(stored, labels, hyp.logprob))
-    return results
+    return [_decoded(tax, hyp) for hyp in _beam(tax, scorer, text, beam_width, constrained=True)]
 
 
 def greedy_decode(tax: Taxonomy, scorer: Scorer, text: str) -> DecodedSequence:
@@ -304,41 +343,7 @@ def unconstrained_decode(
     or the length budget (no overflow error here; truncation is part of
     the baseline's contract). The decoded label set is every label token
     emitted and is NOT guaranteed consistent. The banking and stop rules
-    mirror constrained_beam_search.
+    are those of constrained_beam_search; the best banked hypothesis is
+    returned.
     """
-    if beam_width < 1:
-        raise ValueError(f"beam_width must be >= 1, got {beam_width}")
-    alphabet = full_alphabet(tax)
-    vocab = frozenset(alphabet)
-    limit = max_decode_length(tax)
-
-    def order(entry: tuple[tuple[str, ...], float]):
-        return (-entry[1], sequence_sort_key(entry[0]))
-
-    active: list[tuple[tuple[str, ...], float]] = [((tax.root,), 0.0)]
-    banked: list[tuple[tuple[str, ...], float]] = []
-    while active:
-        expansions: list[tuple[tuple[str, ...], float]] = []
-        for tokens, logprob in active:
-            raw = scorer.score(text, tokens, alphabet)
-            try:
-                masked = {t: raw[t] for t in alphabet}
-            except KeyError as missing:
-                raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
-            for token, lp in restricted_log_softmax(masked, vocab).items():
-                expansions.append((tokens + (token,), logprob + lp))
-        expansions.sort(key=order)
-        active = []
-        for tokens, logprob in expansions[:beam_width]:
-            if tokens[-1] == EOS or len(tokens) >= limit:
-                banked.append((tokens, logprob))
-            else:
-                active.append((tokens, logprob))
-        banked.sort(key=order)
-        del banked[beam_width:]
-        if len(banked) == beam_width and active and active[0][1] < banked[-1][1]:
-            break
-    tokens, logprob = banked[0]
-    stored = _strip_eos(tokens)
-    labels = frozenset(t for t in stored if t != POP and t != tax.root)
-    return DecodedSequence(stored, labels, logprob)
+    return _decoded(tax, _beam(tax, scorer, text, beam_width, constrained=False)[0])

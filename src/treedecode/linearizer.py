@@ -61,16 +61,20 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
             "label set is not closed under ancestors; apply ancestor_closure first"
         )
 
+    # Depth-first with an explicit stack of child iterators, so depth is
+    # bounded by memory rather than the interpreter's recursion limit.
     tokens = [tax.root]
-
-    def visit(node: str) -> None:
-        for child in tax.children(node):
+    pending = [iter(tax.children(tax.root))]
+    while pending:
+        for child in pending[-1]:
             if child in members:
                 tokens.append(child)
-                visit(child)
+                pending.append(iter(tax.children(child)))
+                break
+        else:
+            pending.pop()
+            if pending:
                 tokens.append(POP)
-
-    visit(tax.root)
     return tokens
 
 

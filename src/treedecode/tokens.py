@@ -17,10 +17,6 @@ BOS = "<bos>"
 RESERVED_TOKENS = frozenset({POP, EOS, BOS})
 
 
-def is_special(token: str) -> bool:
-    return token in RESERVED_TOKENS
-
-
 def token_sort_key(token: str) -> tuple[int, str]:
     """Deterministic tie-break order: labels lexicographically, then POP/<eos>."""
     return (1, token) if token in RESERVED_TOKENS else (0, token)

@@ -116,7 +116,6 @@ def test_step_push(media_tax):
     pushed = step(media_tax, initial_state(media_tax), "Entertainment")
     assert pushed.stack == ("Root", "Entertainment")
     assert pushed.visited == {"Entertainment"}
-    assert pushed.prefix_len == 2
 
 
 def test_step_rejects_non_child(media_tax):
@@ -142,7 +141,6 @@ def test_incremental_matches_full_replay():
             expected_stack, expected_visited = oracle_stack_and_used(tax, prefix)
             assert state.stack == expected_stack
             assert state.visited == expected_visited
-            assert state.prefix_len == end
             assert state == state_from_prefix(tax, prefix)
             if end < len(sequence):
                 state = step(tax, state, sequence[end])

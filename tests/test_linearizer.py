@@ -15,6 +15,8 @@ from treedecode import (
     EmptyLabelSetError,
     InconsistentLabelSetError,
     InvalidSequenceError,
+    POP,
+    Taxonomy,
     UnknownLabelError,
     delinearize,
     linearize,
@@ -113,3 +115,13 @@ def test_round_trips_and_length_law():
 def test_render_parse_round_trip():
     assert parse_sequence(TWO_PATH_RENDERED) == TWO_PATH_SEQUENCE
     assert render_sequence(parse_sequence(TWO_PATH_RENDERED)) == TWO_PATH_RENDERED
+
+
+def test_deep_chain_round_trip():
+    # Deeper than the default recursion limit: linearize must not recurse per level.
+    depth = 1500
+    names = [f"c{i:04d}" for i in range(1, depth + 1)]
+    tax = Taxonomy.from_edges(list(zip(["root", *names], names)))
+    sequence = linearize(tax, names)
+    assert sequence == ["root", *names, *[POP] * depth]
+    assert delinearize(tax, sequence) == set(names)
