@@ -13,8 +13,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import decoding, metrics
-from .corpus import DocumentRecord, read_documents, read_jsonl, write_jsonl
-from .errors import AlignmentError, DecodeOverflowError, TreeDecodeError
+from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, write_jsonl
+from .errors import AlignmentError, CorpusFormatError, DecodeOverflowError, TreeDecodeError
 from .linearizer import delinearize, linearize
 from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
 from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
@@ -80,13 +80,24 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     return 0
 
 
+def _sequence_tokens(path: str, index: int, record: dict) -> list[str]:
+    sequence = record.get("sequence")
+    if isinstance(sequence, str):
+        return parse_sequence(sequence)
+    if isinstance(sequence, list) and all(isinstance(t, str) for t in sequence):
+        return sequence
+    raise CorpusFormatError(
+        f"{path}: record {index} needs a sequence string or list of strings, got {sequence!r}"
+    )
+
+
 def cmd_delinearize(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     rows = []
-    for record in read_jsonl(args.input):
-        sequence = record["sequence"]
-        tokens = sequence if isinstance(sequence, list) else parse_sequence(sequence)
-        rows.append({"id": record["id"], "labels": sorted(delinearize(tax, tokens))})
+    for index, record in enumerate(read_jsonl(args.input), start=1):
+        doc_id = record_id(args.input, index, record)
+        tokens = _sequence_tokens(args.input, index, record)
+        rows.append({"id": doc_id, "labels": sorted(delinearize(tax, tokens))})
     _write_rows(args.output, rows)
     return 0
 
@@ -164,13 +175,13 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     rows = []
     offenders = []
-    for record in read_jsonl(args.input):
-        labels = set(record.get("labels", ()))
+    for doc in read_documents(args.input):
+        labels = doc.labels or frozenset()
         unknown = sorted(l for l in labels if l not in tax)
         if unknown:
-            offenders.append(f"document {record.get('id')!r}: unknown labels {unknown}")
+            offenders.append(f"document {doc.id!r}: unknown labels {unknown}")
             continue
-        rows.append({"id": record["id"], "labels": sorted(tax.ancestor_closure(labels))})
+        rows.append({"id": doc.id, "labels": sorted(tax.ancestor_closure(labels))})
     if offenders:
         for offender in offenders:
             _fail(offender)
@@ -182,9 +193,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     gold_docs = read_documents(args.gold)
-    predictions = {}
-    for record in read_jsonl(args.predictions):
-        predictions[str(record["id"])] = set(record.get("labels", ()))
+    predictions = {doc.id: set(doc.labels or ()) for doc in read_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))

@@ -2,7 +2,8 @@
 
 A corpus record is ``{"id": ..., "text": ..., "labels": [...]}``; text
 may be empty and labels may be absent for decode-only input. Ids must be
-unique within a file.
+unique within a file and labels, when present, a JSON list. Prediction
+files use the same record shape (text is ignored).
 """
 
 from __future__ import annotations
@@ -50,18 +51,27 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
             handle.write(json.dumps(row) + "\n")
 
 
+def record_id(path: str | Path, index: int, row: dict) -> str:
+    """The id of the ``index``-th record (from 1) as a string; a missing id is an error."""
+    if "id" not in row:
+        raise CorpusFormatError(f"{path}: record {index} has no id")
+    return str(row["id"])
+
+
 def read_documents(path: str | Path) -> list[DocumentRecord]:
-    """Load corpus records, enforcing unique string ids."""
+    """Load corpus or prediction records, enforcing unique string ids and list-valued labels."""
     documents = []
     seen: set[str] = set()
     for index, row in enumerate(read_jsonl(path), start=1):
-        if "id" not in row:
-            raise CorpusFormatError(f"{path}: record {index} has no id")
-        doc_id = str(row["id"])
+        doc_id = record_id(path, index, row)
         if doc_id in seen:
             raise CorpusFormatError(f"{path}: record {index} has duplicate id {doc_id!r}")
         seen.add(doc_id)
         labels = row.get("labels")
+        if labels is not None and not isinstance(labels, list):
+            raise CorpusFormatError(
+                f"{path}: record {index} has labels of type {type(labels).__name__}, not a list"
+            )
         documents.append(
             DocumentRecord(
                 id=doc_id,

@@ -19,17 +19,20 @@ probability mass.
 
 Beam search ranks hypotheses by ``(-logprob, lexicographic tokens)``,
 comparing tokens with ``token_sort_key`` (labels by name, then ``<eos>``,
-then POP), so results are deterministic under exact ties. A step costs
-O(beam * |V|) to score and rank the expansions with constant-size keys;
-only the ``beam_width`` survivors are built, each with one prefix copy and
-one validated automaton ``step``.
+then POP), so results are deterministic under exact ties. Each active
+hypothesis's vocabulary is derived once per step, already in that order:
+the taxonomy sorts every node's children by name when it is built, so
+the unvisited children come out sorted and POP or ``<eos>`` follows them.
+A step costs O(beam * |V|) to score and rank the expansions with
+constant-size keys; only the ``beam_width`` survivors are built, each with
+one prefix copy, and they advance without deriving the vocabulary again.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Protocol
@@ -40,6 +43,7 @@ from .errors import (
     IllegalTokenError,
     InvalidScoreError,
     InvalidSequenceError,
+    UnknownLabelError,
 )
 from .linearizer import validate_sequence
 from .taxonomy import Taxonomy
@@ -117,29 +121,43 @@ def initial_state(tax: Taxonomy) -> DecoderState:
     return DecoderState(stack=(tax.root,), visited=frozenset())
 
 
-def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
-    """Legal next tokens for ``state``; see the module docstring for the rule."""
-    if state.terminal or not state.stack or state.stack[0] != tax.root:
+def _vocabulary(tax: Taxonomy, state: DecoderState) -> tuple[str, ...]:
+    """The dynamic vocabulary of ``state`` in tie-break order, without a sort.
+
+    Unvisited children of the stack top come first, by name from the
+    taxonomy's precomputed table, then POP above the root or ``<eos>`` at it.
+    """
+    stack = state.stack
+    if state.terminal or not stack or stack[0] != tax.root:
         raise IllegalStateError(f"no vocabulary for state {state!r}")
-    top = state.stack[-1]
-    entries = {c for c in tax.children(top) if c not in state.visited}
-    if len(state.stack) > 1:
-        entries.add(POP)
-    else:
-        entries.add(EOS)
-    return frozenset(entries)
+    try:
+        children = tax._ordered_children[stack[-1]]
+    except KeyError:
+        raise UnknownLabelError(stack[-1]) from None
+    visited = state.visited
+    return (*[c for c in children if c not in visited], POP if len(stack) > 1 else EOS)
 
 
-def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
-    """Advance the automaton by one token drawn from its dynamic vocabulary."""
-    vocab = dynamic_vocabulary(tax, state)
-    if token not in vocab:
-        raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
+def _advance(state: DecoderState, token: str) -> DecoderState:
+    """The transition for a token already known to be in ``state``'s vocabulary."""
     if token == POP:
         return DecoderState(state.stack[:-1], state.visited)
     if token == EOS:
         return DecoderState(state.stack, state.visited, terminal=True)
     return DecoderState(state.stack + (token,), state.visited | {token})
+
+
+def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
+    """Legal next tokens for ``state``; see the module docstring for the rule."""
+    return frozenset(_vocabulary(tax, state))
+
+
+def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
+    """Advance the automaton by one token drawn from its dynamic vocabulary."""
+    vocab = _vocabulary(tax, state)
+    if token not in vocab:
+        raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
+    return _advance(state, token)
 
 
 def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
@@ -153,7 +171,7 @@ def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
 
 
 def restricted_log_softmax(
-    raw_scores: Mapping[str, float], vocab: frozenset[str] | set[str]
+    raw_scores: Mapping[str, float], vocab: Collection[str]
 ) -> dict[str, float]:
     """Log-softmax over exactly the vocabulary entries.
 
@@ -179,36 +197,21 @@ def restricted_log_softmax(
 
 
 def restricted_softmax(
-    raw_scores: Mapping[str, float], vocab: frozenset[str] | set[str]
+    raw_scores: Mapping[str, float], vocab: Collection[str]
 ) -> dict[str, float]:
     """Probabilities over the vocabulary: positive, order-preserving, summing to 1."""
     return {t: math.exp(lp) for t, lp in restricted_log_softmax(raw_scores, vocab).items()}
 
 
 def _masked_log_probs(
-    scorer: Scorer,
-    text: str,
-    prefix: tuple[str, ...],
-    candidates: Sequence[str],
-    vocab: frozenset[str],
+    scorer: Scorer, text: str, prefix: tuple[str, ...], candidates: Sequence[str]
 ) -> dict[str, float]:
     raw = scorer.score(text, prefix, candidates)
     try:
         masked = {t: raw[t] for t in candidates}
     except KeyError as missing:
         raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
-    return restricted_log_softmax(masked, vocab)
-
-
-def _step_log_probs(
-    tax: Taxonomy,
-    scorer: Scorer,
-    text: str,
-    prefix: tuple[str, ...],
-    state: DecoderState,
-) -> dict[str, float]:
-    vocab = dynamic_vocabulary(tax, state)
-    return _masked_log_probs(scorer, text, prefix, sorted(vocab, key=token_sort_key), vocab)
+    return restricted_log_softmax(masked, candidates)
 
 
 def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) -> float:
@@ -226,7 +229,7 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     prefix = (tax.root,)
     total = 0.0
     for token in tuple(gold[1:]) + (EOS,):
-        log_probs = _step_log_probs(tax, scorer, text, prefix, state)
+        log_probs = _masked_log_probs(scorer, text, prefix, _vocabulary(tax, state))
         total -= log_probs[token]
         state = step(tax, state, token)
         prefix = prefix + (token,)
@@ -244,12 +247,15 @@ def _beam(
     """The beam loop of both decode modes; returns the banked hypotheses, best first.
 
     ``active`` is kept in lexicographic token order. Its hypotheses all
-    have the same length, so an expansion's full key ``(-logprob,
+    have the same length, and each step's candidates come in
+    ``token_sort_key`` order, so an expansion's full key ``(-logprob,
     sequence_sort_key(tokens))`` orders exactly like ``(-logprob, parent
-    rank, token_sort_key(token))``. Only the ``beam_width`` smallest of
-    those short keys become hypotheses; re-sorting them by (parent rank,
-    token) gives the next step's ranks. Banked hypotheses differ in
-    length, so each gets its full key once, when it is banked.
+    rank, candidate index)``. Only the ``beam_width`` smallest of those
+    short keys become hypotheses; re-sorting them by (parent rank, index)
+    gives the next step's ranks. A survivor's token comes from the
+    vocabulary its parent was just scored over, so it advances without a
+    second check. Banked hypotheses differ in length, so each gets its full
+    key once, when it is banked.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
@@ -257,8 +263,7 @@ def _beam(
     if constrained:
         start = initial_state(tax)
     else:
-        alphabet = full_alphabet(tax)
-        vocab = frozenset(alphabet)
+        candidates = full_alphabet(tax)
         start = None
     active = [Hypothesis((tax.root,), start, 0.0)]
     banked: list[tuple[tuple, Hypothesis]] = []  # ((-logprob, sequence_sort_key), hyp)
@@ -267,21 +272,20 @@ def _beam(
             raise DecodeOverflowError(
                 f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
             )
-        expansions = []  # (-logprob, parent rank, token_sort_key, token)
+        expansions = []  # (-logprob, parent rank, candidate index, token)
         for rank, hyp in enumerate(active):
             if constrained:
-                log_probs = _step_log_probs(tax, scorer, text, hyp.tokens, hyp.state)
-            else:
-                log_probs = _masked_log_probs(scorer, text, hyp.tokens, alphabet, vocab)
-            for token, lp in log_probs.items():
-                expansions.append((-(hyp.logprob + lp), rank, token_sort_key(token), token))
+                candidates = _vocabulary(tax, hyp.state)
+            log_probs = _masked_log_probs(scorer, text, hyp.tokens, candidates)
+            for index, token in enumerate(candidates):
+                expansions.append((-(hyp.logprob + log_probs[token]), rank, index, token))
         survivors = heapq.nsmallest(beam_width, expansions)
         survivors.sort(key=itemgetter(1, 2))
         parents, active = active, []
         for negative, rank, _, token in survivors:
             parent = parents[rank]
             tokens = parent.tokens + (token,)
-            state = step(tax, parent.state, token) if constrained else None
+            state = _advance(parent.state, token) if constrained else None
             hyp = Hypothesis(tokens, state, -negative)
             if token == EOS or (not constrained and len(tokens) >= limit):
                 banked.append(((negative, sequence_sort_key(tokens)), hyp))

@@ -74,6 +74,10 @@ class AlignmentError(TreeDecodeError):
 
 
 class CorpusFormatError(TreeDecodeError):
-    """A corpus or predictions file record is malformed (bad JSON, missing id, duplicate id)."""
+    """A corpus or predictions file record is malformed.
+
+    Bad JSON, a missing or repeated id, labels that are not a list, or a
+    sequence that is neither a string nor a list of strings.
+    """
 
     code = "CORPUS_FORMAT"

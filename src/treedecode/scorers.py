@@ -79,7 +79,11 @@ class BigramScorer:
 
     Raw scores are log P(next | previous token); the document text is
     ignored. Probabilities over the full alphabet sum to 1 for every
-    context before any vocabulary restriction.
+    context before any vocabulary restriction. ``score`` fills one row of
+    log probabilities per context on first use: the counted tokens plus
+    one shared value for every uncounted token, each computed exactly as
+    ``math.log(probability(prev, token))``. The counts are not meant to
+    change after construction.
     """
 
     def __init__(
@@ -92,15 +96,26 @@ class BigramScorer:
         self.counts = counts
         self.repaired_docs = repaired_docs
         self._totals = {prev: sum(nxt.values()) for prev, nxt in counts.items()}
+        self._log_rows: dict[str, tuple[dict[str, float], float]] = {}
 
     def probability(self, prev: str, token: str) -> float:
         context = self.counts.get(prev, {})
         total = self._totals.get(prev, 0)
         return (context.get(token, 0) + 1) / (total + len(self.alphabet))
 
+    def _log_row(self, prev: str) -> tuple[dict[str, float], float]:
+        denominator = self._totals.get(prev, 0) + len(self.alphabet)
+        context = self.counts.get(prev, {})
+        counted = {token: math.log((n + 1) / denominator) for token, n in context.items()}
+        return counted, math.log(1 / denominator)
+
     def score(self, text, prefix, candidates):
         prev = prefix[-1]
-        return {token: math.log(self.probability(prev, token)) for token in candidates}
+        row = self._log_rows.get(prev)
+        if row is None:
+            row = self._log_rows[prev] = self._log_row(prev)
+        counted, unseen = row
+        return {token: counted.get(token, unseen) for token in candidates}
 
     def to_dict(self) -> dict:
         return {

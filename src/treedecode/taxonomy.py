@@ -3,8 +3,9 @@
 The on-disk format is a UTF-8 TSV edge list, one ``parent<TAB>child`` per
 line; lines starting with ``#`` and blank lines are ignored. The root is
 the unique node that never appears as a child. Child order is the order
-of first appearance in the file and is what makes linearization and
-decoder tie-breaking reproducible.
+of first appearance in the file and fixes linearization order; the
+decoder breaks ties by label name, from a per-node table of children
+sorted once when the taxonomy is built.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidTaxonomyError, UnknownLabelError
-from .tokens import RESERVED_TOKENS
+from .tokens import RESERVED_TOKENS, token_sort_key
 
 if TYPE_CHECKING:
     from .corpus import DocumentRecord
@@ -54,7 +55,7 @@ class Taxonomy:
     construction skips validation and is not supported.
     """
 
-    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes")
+    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_ordered_children")
 
     def __init__(self, root: str, children: Mapping[str, tuple[str, ...]], nodes: tuple[str, ...]):
         self._root = root
@@ -72,6 +73,11 @@ class Taxonomy:
                     self._depth[child] = self._depth[node] + 1
                     nxt.append(child)
             frontier = nxt
+        # Every node's children in the decoder's tie-break order, read by
+        # decoding._vocabulary so that no decode step has to sort.
+        self._ordered_children = {
+            n: tuple(sorted(self._children.get(n, ()), key=token_sort_key)) for n in nodes
+        }
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[str, str]]) -> "Taxonomy":
@@ -88,7 +94,8 @@ class Taxonomy:
                     seen.add(name)
                     nodes.append(name)
             children.setdefault(parent, []).append(child)
-        roots = [n for n in nodes if n not in {c for _, c in edges}]
+        child_names = {c for _, c in edges}
+        roots = [n for n in nodes if n not in child_names]
         return cls(roots[0], {p: tuple(cs) for p, cs in children.items()}, tuple(nodes))
 
     # -- queries -----------------------------------------------------------

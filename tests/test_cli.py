@@ -291,6 +291,50 @@ def test_evaluate_alignment_error(tax_file, corpus_file, tmp_path, capsys):
     assert "ghost" in payload["message"]
 
 
+def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path, capsys):
+    predictions = tmp_path / "pred.jsonl"
+    rows = [{"id": i, "labels": l} for i, l in GOLD_BY_ID.items()]
+    write_jsonl(predictions, rows + [{"id": "d2", "labels": []}])
+    code, _, err = run(
+        capsys, "evaluate", "--taxonomy", tax_file, "--gold", corpus_file,
+        "--predictions", str(predictions),
+    )
+    assert code == 1
+    payload = json.loads(err.splitlines()[-1])
+    assert payload["error"] == "CORPUS_FORMAT"
+    assert "duplicate id 'd2'" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "command, record",
+    [
+        pytest.param("evaluate", {"labels": ["Entertainment"]}, id="evaluate-prediction-without-id"),
+        pytest.param("evaluate", {"id": "d1", "labels": "AB"}, id="evaluate-labels-string"),
+        pytest.param("postprocess", {"labels": ["Entertainment"]}, id="postprocess-without-id"),
+        pytest.param("postprocess", {"id": "p1", "labels": "AB"}, id="postprocess-labels-string"),
+        pytest.param("delinearize", {"sequence": "Root Business POP"}, id="delinearize-without-id"),
+        pytest.param("delinearize", {"id": "s1"}, id="delinearize-without-sequence"),
+        pytest.param("delinearize", {"id": "s1", "sequence": 7}, id="delinearize-sequence-number"),
+        pytest.param("delinearize", {"id": "s1", "sequence": ["Root", 7]}, id="delinearize-token-number"),
+        pytest.param("linearize", {"id": "d1", "labels": "AB"}, id="corpus-labels-string"),
+    ],
+)
+def test_malformed_record_is_a_corpus_format_error(
+    command, record, tax_file, corpus_file, tmp_path, capsys
+):
+    records = tmp_path / "records.jsonl"
+    write_jsonl(records, [record])
+    if command == "evaluate":
+        files = ["--gold", corpus_file, "--predictions", str(records)]
+    else:
+        files = ["--input", str(records)]
+    code, out, err = run(capsys, command, "--taxonomy", tax_file, *files)
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "CORPUS_FORMAT"
+
+
 def test_decode_then_evaluate_reports_zero_inconsistent(tax_file, corpus_file, tmp_path, capsys):
     model = tmp_path / "model.json"
     run(capsys, "fit", "--taxonomy", tax_file, "--input", corpus_file, "--output", str(model))

@@ -52,3 +52,11 @@ def test_non_object_row(tmp_path):
     path.write_text("[1, 2, 3]\n")
     with pytest.raises(CorpusFormatError, match="object"):
         read_jsonl(path)
+
+
+@pytest.mark.parametrize("labels", ['"AB"', '{"A": 1}', "3"])
+def test_labels_must_be_a_list(tmp_path, labels):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "d1", "labels": %s}\n' % labels)
+    with pytest.raises(CorpusFormatError, match="not a list"):
+        read_documents(path)

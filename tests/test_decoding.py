@@ -10,6 +10,7 @@ from conftest import (
     TWO_PATH_SEQUENCE,
     UNIFORM_GREEDY_RENDERED,
     oracle_complete_sequences,
+    oracle_reachable_states,
     oracle_stack_and_used,
     random_consistent_labels,
     random_taxonomy,
@@ -17,6 +18,7 @@ from conftest import (
 from treedecode import (
     EOS,
     POP,
+    DecoderState,
     IllegalStateError,
     IllegalTokenError,
     InvalidScoreError,
@@ -25,6 +27,7 @@ from treedecode import (
     RandomScorer,
     Taxonomy,
     UniformScorer,
+    UnknownLabelError,
     constrained_beam_search,
     delinearize,
     dynamic_vocabulary,
@@ -42,6 +45,8 @@ from treedecode import (
     unconstrained_decode,
     validate_sequence,
 )
+from treedecode.decoding import _vocabulary
+from treedecode.tokens import token_sort_key
 
 
 class EverythingScorer:
@@ -100,6 +105,29 @@ def test_vocabulary_never_empty_and_exact_against_oracle():
             assert vocab == oracle_continuations(tax, witness)
             assert (EOS in vocab) == (len(stack) == 1)
             assert (POP in vocab) == (len(stack) > 1)
+
+
+def test_vocabulary_tuple_is_in_tie_break_order():
+    # Children are listed against name order, so input order and tie-break order differ.
+    tax = Taxonomy.from_edges([("Root", "B"), ("Root", "A"), ("B", "B2"), ("B", "B1")])
+    assert _vocabulary(tax, initial_state(tax)) == ("A", "B", EOS)
+    assert _vocabulary(tax, state_from_prefix(tax, ["Root", "B"])) == ("B1", "B2", POP)
+    assert _vocabulary(tax, state_from_prefix(tax, ["Root", "B", "B1", POP])) == ("B2", POP)
+    rng = random.Random(43)
+    for _ in range(20):
+        tree = random_taxonomy(rng, rng.randint(2, 9))
+        edges = [(parent, child) for parent in tree.nodes for child in tree.children(parent)]
+        rng.shuffle(edges)
+        tax = Taxonomy.from_edges(edges)
+        for witness in oracle_reachable_states(tax).values():
+            state = state_from_prefix(tax, witness)
+            expected = tuple(sorted(dynamic_vocabulary(tax, state), key=token_sort_key))
+            assert _vocabulary(tax, state) == expected
+
+
+def test_vocabulary_of_unknown_stack_top(media_tax):
+    with pytest.raises(UnknownLabelError):
+        dynamic_vocabulary(media_tax, DecoderState(("Root", "Music"), frozenset({"Music"})))
 
 
 # -- step and replay ---------------------------------------------------------

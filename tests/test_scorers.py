@@ -138,6 +138,28 @@ def test_bigram_persistence_round_trip(media_tax, tmp_path):
     assert path.read_bytes() == other.read_bytes()
 
 
+def test_bigram_cached_rows_equal_the_formula_bit_for_bit(media_tax, tmp_path):
+    corpus = _media_corpus([
+        {"Entertainment", "Movie", "Documentary"},
+        {"Business", "Company"},
+        {"Entertainment", "Movie", "Action"},
+        {"Entertainment"},
+    ])
+    scorer = fit_bigram_scorer(media_tax, corpus)
+    path = tmp_path / "model.json"
+    scorer.save(path)
+    alphabet = full_alphabet(media_tax)
+    contexts = (media_tax.root, *alphabet, "Unseen")
+    candidates = (*alphabet, "Outside")
+    for model in (scorer, BigramScorer.load(path)):
+        for _ in range(2):  # the first pass fills the rows, the second reads them
+            for prev in contexts:
+                scores = model.score("", ("Root", prev), candidates)
+                assert list(scores) == list(candidates)
+                for token in candidates:
+                    assert scores[token] == math.log(model.probability(prev, token))
+
+
 def test_bigram_counts_include_terminal_transition(media_tax):
     scorer = fit_bigram_scorer(media_tax, _media_corpus([{"Entertainment"}]))
     # Root Entertainment POP <eos> contributes POP -> <eos>.
