@@ -42,6 +42,7 @@ from .errors import (
     InvalidScoreError,
     InvalidSequenceError,
     InvalidTaxonomyError,
+    ModelMismatchError,
     TreeDecodeError,
     UnknownLabelError,
 )
@@ -99,6 +100,7 @@ __all__ = [
     "Issue",
     "LabelCounts",
     "MetricsReport",
+    "ModelMismatchError",
     "OracleScorer",
     "POP",
     "RandomScorer",

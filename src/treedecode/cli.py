@@ -14,7 +14,13 @@ from pathlib import Path
 
 from . import decoding, metrics
 from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, write_jsonl
-from .errors import AlignmentError, CorpusFormatError, DecodeOverflowError, TreeDecodeError
+from .errors import (
+    AlignmentError,
+    CorpusFormatError,
+    DecodeOverflowError,
+    ModelMismatchError,
+    TreeDecodeError,
+)
 from .linearizer import delinearize, linearize
 from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
 from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
@@ -122,6 +128,14 @@ def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
         if args.model is None:
             raise TreeDecodeError("--scorer bigram requires --model")
         loaded = BigramScorer.load(args.model)
+        alphabet = decoding.full_alphabet(tax)
+        if loaded.alphabet != alphabet:
+            only_model = sorted(set(loaded.alphabet) - set(alphabet))
+            only_taxonomy = sorted(set(alphabet) - set(loaded.alphabet))
+            raise ModelMismatchError(
+                f"{args.model} does not fit this taxonomy: its alphabet differs (only in the "
+                f"model {only_model[:5]}, only in the taxonomy {only_taxonomy[:5]})"
+            )
         return lambda doc: loaded
     return lambda doc: OracleScorer(linearize(tax, set(_gold_labels(doc))))
 

@@ -23,7 +23,15 @@ then POP), so results are deterministic under exact ties. Each active
 hypothesis's vocabulary is derived once per step, already in that order:
 the taxonomy sorts every node's children by name when it is built, so
 the unvisited children come out sorted and POP or ``<eos>`` follows them.
-A step costs O(beam * |V|) to score and rank the expansions with
+
+A step is list arithmetic over that vocabulary tuple. The scorer's
+mapping is read once into a list aligned with the tuple, and one list
+kernel (``_log_softmax``) turns it into log probabilities; the public
+``restricted_log_softmax`` and ``sequence_nll`` use the same kernel.
+Active hypotheses travel as plain ``(logprob, tokens, stack, visited)``
+tuples, advanced by the same parts-level transition that ``step`` wraps;
+``Hypothesis`` and ``DecoderState`` objects are built only for banked
+results. A step costs O(beam * |V|) to score and rank the expansions with
 constant-size keys; only the ``beam_width`` survivors are built, each with
 one prefix copy, and they advance without deriving the vocabulary again.
 """
@@ -121,30 +129,44 @@ def initial_state(tax: Taxonomy) -> DecoderState:
     return DecoderState(stack=(tax.root,), visited=frozenset())
 
 
-def _vocabulary(tax: Taxonomy, state: DecoderState) -> tuple[str, ...]:
-    """The dynamic vocabulary of ``state`` in tie-break order, without a sort.
+def _vocabulary_parts(
+    tax: Taxonomy, stack: tuple[str, ...], visited: Collection[str]
+) -> tuple[str, ...]:
+    """The dynamic vocabulary of a (stack, visited) pair in tie-break order, without a sort.
 
     Unvisited children of the stack top come first, by name from the
     taxonomy's precomputed table, then POP above the root or ``<eos>`` at it.
     """
-    stack = state.stack
-    if state.terminal or not stack or stack[0] != tax.root:
-        raise IllegalStateError(f"no vocabulary for state {state!r}")
+    if not stack or stack[0] != tax.root:
+        raise IllegalStateError(f"no vocabulary for stack {stack!r}: its bottom is not the root")
     try:
         children = tax._ordered_children[stack[-1]]
     except KeyError:
         raise UnknownLabelError(stack[-1]) from None
-    visited = state.visited
     return (*[c for c in children if c not in visited], POP if len(stack) > 1 else EOS)
+
+
+def _advance_parts(
+    stack: tuple[str, ...], visited: frozenset[str], token: str
+) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Push a label or pop on POP; ``token`` is known to be in the vocabulary and not ``<eos>``."""
+    if token == POP:
+        return stack[:-1], visited
+    return stack + (token,), visited | {token}
+
+
+def _vocabulary(tax: Taxonomy, state: DecoderState) -> tuple[str, ...]:
+    """The dynamic vocabulary of ``state`` in tie-break order; none after ``<eos>``."""
+    if state.terminal:
+        raise IllegalStateError(f"no vocabulary for state {state!r}")
+    return _vocabulary_parts(tax, state.stack, state.visited)
 
 
 def _advance(state: DecoderState, token: str) -> DecoderState:
     """The transition for a token already known to be in ``state``'s vocabulary."""
-    if token == POP:
-        return DecoderState(state.stack[:-1], state.visited)
     if token == EOS:
         return DecoderState(state.stack, state.visited, terminal=True)
-    return DecoderState(state.stack + (token,), state.visited | {token})
+    return DecoderState(*_advance_parts(state.stack, state.visited, token))
 
 
 def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
@@ -170,30 +192,43 @@ def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
     return state
 
 
+def _log_softmax(tokens: Sequence[str], values: Sequence[float]) -> list[float]:
+    """Log-softmax of ``values``, the raw scores of ``tokens``, as a list aligned with both.
+
+    Numerically stable (max-shifted), hence exactly invariant under
+    adding a constant to all scores. A singleton yields log probability
+    0.0 exactly. This is the only softmax: the public wrappers, the beam
+    and ``sequence_nll`` all run through it.
+    """
+    if not tokens:
+        raise IllegalStateError("empty dynamic vocabulary")
+    # A sum is finite when every term is; only a non-finite sum (or an
+    # overflow of finite terms) needs the scan that names the culprit.
+    if not math.isfinite(sum(values)):
+        for token, value in zip(tokens, values):
+            if not math.isfinite(value):
+                raise InvalidScoreError(f"non-finite score {value!r} for token {token!r}")
+    # Work on max-relative logits only; absolute score levels never enter,
+    # which is what makes constant shifts drop out exactly.
+    if len(values) == 1:
+        return [0.0]
+    peak = max(values)
+    relative = [value - peak for value in values]
+    log_norm = math.log(math.fsum(map(math.exp, relative)))
+    return [r - log_norm for r in relative]
+
+
 def restricted_log_softmax(
     raw_scores: Mapping[str, float], vocab: Collection[str]
 ) -> dict[str, float]:
-    """Log-softmax over exactly the vocabulary entries.
-
-    Numerically stable (max-shifted), hence exactly invariant under
-    adding a constant to all scores. A singleton vocabulary yields log
-    probability 0.0 exactly.
-    """
-    if not vocab:
-        raise IllegalStateError("empty dynamic vocabulary")
-    if set(raw_scores) != set(vocab):
+    """Log-softmax over exactly the vocabulary entries; see ``_log_softmax``."""
+    tokens = list(vocab)
+    # An empty vocabulary is the kernel's error, whatever the scores cover.
+    if tokens and set(raw_scores) != set(tokens):
         raise InvalidScoreError(
-            f"scores cover {sorted(raw_scores)} but vocabulary is {sorted(vocab)}"
+            f"scores cover {sorted(raw_scores)} but vocabulary is {sorted(tokens)}"
         )
-    for token, value in raw_scores.items():
-        if not math.isfinite(value):
-            raise InvalidScoreError(f"non-finite score {value!r} for token {token!r}")
-    # Work on max-relative logits only; absolute score levels never enter,
-    # which is what makes constant shifts drop out exactly.
-    peak = max(raw_scores.values())
-    relative = {t: s - peak for t, s in raw_scores.items()}
-    log_norm = math.log(math.fsum(math.exp(r) for r in relative.values()))
-    return {t: r - log_norm for t, r in relative.items()}
+    return dict(zip(tokens, _log_softmax(tokens, [raw_scores[t] for t in tokens])))
 
 
 def restricted_softmax(
@@ -205,13 +240,14 @@ def restricted_softmax(
 
 def _masked_log_probs(
     scorer: Scorer, text: str, prefix: tuple[str, ...], candidates: Sequence[str]
-) -> dict[str, float]:
+) -> list[float]:
+    """Restricted log probabilities of ``candidates``, as a list aligned with them."""
     raw = scorer.score(text, prefix, candidates)
     try:
-        masked = {t: raw[t] for t in candidates}
+        values = list(map(raw.__getitem__, candidates))
     except KeyError as missing:
         raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
-    return restricted_log_softmax(masked, candidates)
+    return _log_softmax(candidates, values)
 
 
 def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) -> float:
@@ -229,9 +265,9 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     prefix = (tax.root,)
     total = 0.0
     for token in tuple(gold[1:]) + (EOS,):
-        log_probs = _masked_log_probs(scorer, text, prefix, _vocabulary(tax, state))
-        total -= log_probs[token]
-        state = step(tax, state, token)
+        vocab = _vocabulary(tax, state)
+        total -= _masked_log_probs(scorer, text, prefix, vocab)[vocab.index(token)]
+        state = _advance(state, token)
         prefix = prefix + (token,)
     return total
 
@@ -246,8 +282,11 @@ def _beam(
 ) -> list[Hypothesis]:
     """The beam loop of both decode modes; returns the banked hypotheses, best first.
 
-    ``active`` is kept in lexicographic token order. Its hypotheses all
-    have the same length, and each step's candidates come in
+    An active hypothesis is a plain ``(logprob, tokens, stack, visited)``
+    tuple (stack and visited are None in unconstrained mode); a
+    ``Hypothesis`` and its ``DecoderState`` are built only when it is
+    banked. ``active`` is kept in lexicographic token order. Its hypotheses
+    all have the same length, and each step's candidates come in
     ``token_sort_key`` order, so an expansion's full key ``(-logprob,
     sequence_sort_key(tokens))`` orders exactly like ``(-logprob, parent
     rank, candidate index)``. Only the ``beam_width`` smallest of those
@@ -262,41 +301,45 @@ def _beam(
     limit = max_decode_length(tax)
     if constrained:
         start = initial_state(tax)
+        active = [(0.0, (tax.root,), start.stack, start.visited)]
     else:
         candidates = full_alphabet(tax)
-        start = None
-    active = [Hypothesis((tax.root,), start, 0.0)]
+        active = [(0.0, (tax.root,), None, None)]
     banked: list[tuple[tuple, Hypothesis]] = []  # ((-logprob, sequence_sort_key), hyp)
     while active:
-        if constrained and len(active[0].tokens) >= limit:
+        if constrained and len(active[0][1]) >= limit:
             raise DecodeOverflowError(
                 f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
             )
-        expansions = []  # (-logprob, parent rank, candidate index, token)
-        for rank, hyp in enumerate(active):
+        vocabularies = []  # the candidates of each active hypothesis, by rank
+        expansions = []  # (-logprob, parent rank, candidate index)
+        for rank, (logprob, tokens, stack, visited) in enumerate(active):
             if constrained:
-                candidates = _vocabulary(tax, hyp.state)
-            log_probs = _masked_log_probs(scorer, text, hyp.tokens, candidates)
-            for index, token in enumerate(candidates):
-                expansions.append((-(hyp.logprob + log_probs[token]), rank, index, token))
+                candidates = _vocabulary_parts(tax, stack, visited)
+            vocabularies.append(candidates)
+            log_probs = _masked_log_probs(scorer, text, tokens, candidates)
+            expansions += [(-(logprob + lp), rank, index) for index, lp in enumerate(log_probs)]
         survivors = heapq.nsmallest(beam_width, expansions)
         survivors.sort(key=itemgetter(1, 2))
         parents, active = active, []
-        for negative, rank, _, token in survivors:
-            parent = parents[rank]
-            tokens = parent.tokens + (token,)
-            state = _advance(parent.state, token) if constrained else None
-            hyp = Hypothesis(tokens, state, -negative)
+        for negative, rank, index in survivors:
+            _, tokens, stack, visited = parents[rank]
+            token = vocabularies[rank][index]
+            tokens += (token,)
             if token == EOS or (not constrained and len(tokens) >= limit):
+                state = _advance(DecoderState(stack, visited), token) if constrained else None
+                hyp = Hypothesis(tokens, state, -negative)
                 banked.append(((negative, sequence_sort_key(tokens)), hyp))
+            elif constrained:
+                active.append((-negative, tokens, *_advance_parts(stack, visited, token)))
             else:
-                active.append(hyp)
+                active.append((-negative, tokens, None, None))
         banked.sort(key=itemgetter(0))
         del banked[beam_width:]
         if (
             len(banked) == beam_width
             and active
-            and max(hyp.logprob for hyp in active) < banked[-1][1].logprob
+            and max([hyp[0] for hyp in active]) < banked[-1][1].logprob
         ):
             break
     return [hyp for _, hyp in banked]

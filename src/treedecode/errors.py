@@ -73,6 +73,12 @@ class AlignmentError(TreeDecodeError):
     code = "ALIGNMENT_ERROR"
 
 
+class ModelMismatchError(TreeDecodeError):
+    """A scorer model was fitted on a different token alphabet than the taxonomy's."""
+
+    code = "MODEL_MISMATCH"
+
+
 class CorpusFormatError(TreeDecodeError):
     """A corpus or predictions file record is malformed.
 

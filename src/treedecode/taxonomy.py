@@ -1,9 +1,10 @@
 """Rooted label tree: parsing, validation, and label-set queries.
 
 The on-disk format is a UTF-8 TSV edge list, one ``parent<TAB>child`` per
-line; lines starting with ``#`` and blank lines are ignored. The root is
-the unique node that never appears as a child. Child order is the order
-of first appearance in the file and fixes linearization order; the
+line; lines starting with ``#`` and blank lines are ignored. Names may not
+contain whitespace, which separates tokens in a rendered sequence. The
+root is the unique node that never appears as a child. Child order is the
+order of first appearance in the file and fixes linearization order; the
 decoder breaks ties by label name, from a per-node table of children
 sorted once when the taxonomy is built.
 """
@@ -236,6 +237,10 @@ def _validate_edges(edges: Sequence[tuple[str, str]]) -> ValidationReport:
     for name in nodes:
         if name in RESERVED_TOKENS:
             issues.append(Issue("RESERVED_NAME", f"{name!r} is a reserved token name"))
+        # Rendered sequences separate tokens with whitespace (str.split), so
+        # such a name could not be read back from a sequence.
+        if any(map(str.isspace, name)):
+            issues.append(Issue("WHITESPACE_NAME", f"{name!r} contains whitespace"))
 
     seen_edges: set[tuple[str, str]] = set()
     for edge in edges:

@@ -20,6 +20,7 @@ from treedecode import (
     DecodeOverflowError,
     OracleScorer,
     RandomScorer,
+    Taxonomy,
     UniformScorer,
     constrained_beam_search,
     dynamic_vocabulary,
@@ -96,6 +97,35 @@ def test_engine_matches_full_sort_reference():
                 assert unconstrained_decode(tax, scorer, text, width) == stored(tax, *top)
                 decodes += 2
     assert decodes == 200 * 3 * 5 * 2
+
+
+def relabeled(rng, tax):
+    """``tax`` with its labels renamed by a seeded permutation, edges in the same order."""
+    names = list(tax.labels)
+    rng.shuffle(names)
+    rename = {tax.root: tax.root, **dict(zip(tax.labels, names))}
+    return Taxonomy.from_edges(
+        [(rename[parent], rename[child]) for parent in tax.nodes for child in tax.children(parent)]
+    )
+
+
+def test_engine_matches_reference_when_child_order_is_not_name_order():
+    # random_taxonomy names nodes in creation order, so its child lists are
+    # already sorted by name; renamed, file order and tie-break order differ.
+    rng = random.Random(2205)
+    unsorted = 0
+    for case in range(100):
+        tax = relabeled(rng, random_taxonomy(rng, rng.randint(3, 8), max_depth=rng.randint(1, 4)))
+        unsorted += any(list(tax.children(n)) != sorted(tax.children(n)) for n in tax.nodes)
+        text = f"case {case}"
+        gold = linearize(tax, random_consistent_labels(rng, tax))
+        for scorer in (RandomScorer(rng.randrange(2**31)), UniformScorer(), OracleScorer(gold)):
+            for width in (1, 2, 4):
+                expected = [stored(tax, *entry) for entry in reference_beam(tax, scorer, text, width, True)]
+                assert constrained_beam_search(tax, scorer, text, width) == expected
+                top = reference_beam(tax, scorer, text, width, False)[0]
+                assert unconstrained_decode(tax, scorer, text, width) == stored(tax, *top)
+    assert unsorted > 50
 
 
 def test_banked_hypotheses_of_different_lengths_tie_lexicographically():

@@ -177,6 +177,39 @@ def test_decode_bigram_requires_model(tax_file, corpus_file, capsys):
     assert "--model" in err
 
 
+def test_decode_bigram_rejects_a_model_of_another_taxonomy(tmp_path, capsys):
+    # Fitted on the labels {A, B}, the model must not decode the labels {X, Y}.
+    fitted_on, other = tmp_path / "ab.tsv", tmp_path / "xy.tsv"
+    fitted_on.write_text("Root\tA\nRoot\tB\n")
+    other.write_text("Root\tX\nRoot\tY\n")
+    corpus, model = tmp_path / "corpus.jsonl", tmp_path / "model.json"
+    write_jsonl(corpus, [{"id": "d1", "text": "", "labels": ["A"]}])
+    code, _, _ = run(capsys, "fit", "--taxonomy", str(fitted_on), "--input", str(corpus),
+                     "--output", str(model))
+    assert code == 0
+    code, out, err = run(capsys, "decode", "--taxonomy", str(other), "--input", str(corpus),
+                         "--scorer", "bigram", "--model", str(model))
+    assert code == 1
+    assert out == ""
+    error = json.loads(err)
+    assert error["error"] == "MODEL_MISMATCH"
+    assert "['A', 'B']" in error["message"] and "['X', 'Y']" in error["message"]
+
+
+def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, capsys):
+    # Before the check, linearize wrote "Root my label POP" and delinearize
+    # then failed on the unknown label "my".
+    spaced = tmp_path / "spaced.tsv"
+    spaced.write_text("Root\tmy label\n")
+    code, out, _ = run(capsys, "validate", "--taxonomy", str(spaced))
+    assert code == 1
+    assert [issue["code"] for issue in json.loads(out)["issues"]] == ["WHITESPACE_NAME"]
+    code, out, err = run(capsys, "linearize", "--taxonomy", str(spaced), "--input", corpus_file)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "INVALID_TAXONOMY"
+
+
 def test_decode_unconstrained_reports_inconsistent(tax_file, corpus_file, tmp_path, capsys):
     predictions = tmp_path / "pred.jsonl"
     code, _, err = run(

@@ -31,6 +31,7 @@ from treedecode import (
     constrained_beam_search,
     delinearize,
     dynamic_vocabulary,
+    fit_bigram_scorer,
     full_alphabet,
     greedy_decode,
     initial_state,
@@ -277,6 +278,20 @@ def test_nll_nonnegative_random():
         tax = random_taxonomy(rng, rng.randint(2, 25))
         sequence = linearize(tax, random_consistent_labels(rng, tax))
         assert sequence_nll(tax, RandomScorer(seed), "doc", sequence) >= 0.0
+
+
+def test_nll_of_the_top_beam_result_is_its_negated_logprob():
+    # Scoring and search share the vocabulary and the softmax kernel, so the
+    # two sums of the same log probabilities agree bit for bit.
+    rng = random.Random(61)
+    for case in range(30):
+        tax = random_taxonomy(rng, rng.randint(2, 14), max_depth=rng.randint(1, 4))
+        corpus = [("", random_consistent_labels(rng, tax)) for _ in range(rng.randint(1, 5))]
+        text = f"doc {case}"
+        for scorer in (RandomScorer(case), fit_bigram_scorer(tax, corpus)):
+            for width in (1, 4):
+                top = constrained_beam_search(tax, scorer, text, width)[0]
+                assert sequence_nll(tax, scorer, text, top.tokens) == -top.logprob
 
 
 # -- constrained beam search -------------------------------------------------

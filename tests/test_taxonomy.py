@@ -54,6 +54,8 @@ def test_comments_and_blank_lines_ignored():
         ("Root\tA\nRoot\tB\nA\tC\nB\tC\n", "MULTIPLE_PARENTS"),
         ("Root\tPOP\n", "RESERVED_NAME"),
         ("Root\t<eos>\n", "RESERVED_NAME"),
+        ("Root\tmy label\n", "WHITESPACE_NAME"),
+        ("Root\tA\nA\tB\u00a0C\n", "WHITESPACE_NAME"),
         ("Root A no tab here\n", "EMPTY"),
         ("Root\tA\tB\n", "EMPTY"),
         ("Root\t\n", "EMPTY"),
@@ -74,6 +76,17 @@ def test_never_a_partial_taxonomy():
         err = caught
     assert err is not None
     assert {"DUPLICATE_EDGE", "RESERVED_NAME"} <= err.report.codes()
+
+
+def test_whitespace_names_are_rejected_by_every_constructor():
+    # A name with whitespace would not survive render_sequence/parse_sequence.
+    for build in (
+        lambda: parse_taxonomy("Root\tmy label\n"),
+        lambda: Taxonomy.from_edges([("Root", "A"), ("A", "line\nbreak")]),
+    ):
+        with pytest.raises(InvalidTaxonomyError) as caught:
+            build()
+        assert caught.value.report.codes() == {"WHITESPACE_NAME"}
 
 
 def test_children(media_tax):
