@@ -15,7 +15,6 @@ from .corpus import DocumentRecord, read_documents, read_jsonl, write_jsonl
 from .decoding import (
     DecodedSequence,
     DecoderState,
-    Hypothesis,
     Scorer,
     constrained_beam_search,
     dynamic_vocabulary,
@@ -42,6 +41,7 @@ from .errors import (
     InvalidScoreError,
     InvalidSequenceError,
     InvalidTaxonomyError,
+    ModelFormatError,
     ModelMismatchError,
     TreeDecodeError,
     UnknownLabelError,
@@ -90,7 +90,6 @@ __all__ = [
     "EOS",
     "EmptyCorpusError",
     "EmptyLabelSetError",
-    "Hypothesis",
     "IllegalStateError",
     "IllegalTokenError",
     "InconsistentLabelSetError",
@@ -100,6 +99,7 @@ __all__ = [
     "Issue",
     "LabelCounts",
     "MetricsReport",
+    "ModelFormatError",
     "ModelMismatchError",
     "OracleScorer",
     "POP",

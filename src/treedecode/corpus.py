@@ -1,9 +1,10 @@
 """JSON-lines corpus and prediction files.
 
 A corpus record is ``{"id": ..., "text": ..., "labels": [...]}``; text
-may be empty and labels may be absent for decode-only input. Ids must be
-unique within a file and labels, when present, a JSON list. Prediction
-files use the same record shape (text is ignored).
+may be empty or absent and labels may be absent for decode-only input.
+Ids must be unique within a file, text a string and labels, when
+present, a JSON list of strings. Prediction files use the same record
+shape (text is ignored).
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ def record_id(path: str | Path, index: int, row: dict) -> str:
 
 
 def read_documents(path: str | Path) -> list[DocumentRecord]:
-    """Load corpus or prediction records, enforcing unique string ids and list-valued labels."""
+    """Load corpus or prediction records: unique ids, string text, labels a list of strings."""
     documents = []
     seen: set[str] = set()
     for index, row in enumerate(read_jsonl(path), start=1):
@@ -67,16 +68,21 @@ def read_documents(path: str | Path) -> list[DocumentRecord]:
         if doc_id in seen:
             raise CorpusFormatError(f"{path}: record {index} has duplicate id {doc_id!r}")
         seen.add(doc_id)
-        labels = row.get("labels")
-        if labels is not None and not isinstance(labels, list):
+        text = row.get("text", "")
+        if not isinstance(text, str):
             raise CorpusFormatError(
-                f"{path}: record {index} has labels of type {type(labels).__name__}, not a list"
+                f"{path}: record {index} has text of type {type(text).__name__}, not a string"
+            )
+        labels = row.get("labels")
+        if labels is not None and not (
+            isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+        ):
+            raise CorpusFormatError(
+                f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
             )
         documents.append(
             DocumentRecord(
-                id=doc_id,
-                text=str(row.get("text", "")),
-                labels=None if labels is None else frozenset(str(l) for l in labels),
+                id=doc_id, text=text, labels=None if labels is None else frozenset(labels)
             )
         )
     return documents

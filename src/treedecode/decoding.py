@@ -1,7 +1,8 @@
 """Constrained decoding over the taxonomy automaton.
 
-The decoder walks the same stack automaton that linearization uses. At
-every step the set of legal next tokens (the dynamic vocabulary) is:
+The decoder walks the stack automaton whose rule, transition and replay
+live in ``linearizer``, beside the validator. At every step the set of
+legal next tokens (the dynamic vocabulary) is:
 
 * the stack top's children that have not been emitted anywhere earlier
   in the sequence (labels are never generated twice),
@@ -30,10 +31,11 @@ kernel (``_log_softmax``) turns it into log probabilities; the public
 ``restricted_log_softmax`` and ``sequence_nll`` use the same kernel.
 Active hypotheses travel as plain ``(logprob, tokens, stack, visited)``
 tuples, advanced by the same parts-level transition that ``step`` wraps;
-``Hypothesis`` and ``DecoderState`` objects are built only for banked
-results. A step costs O(beam * |V|) to score and rank the expansions with
-constant-size keys; only the ``beam_width`` survivors are built, each with
-one prefix copy, and they advance without deriving the vocabulary again.
+banked ones are ``(key, tokens)`` pairs, and only the final bank becomes
+``DecodedSequence`` objects. A step costs O(beam * |V|) to score and rank
+the expansions with constant-size keys; only the ``beam_width`` survivors
+are built, each with one prefix copy, and they advance without deriving
+the vocabulary again.
 """
 
 from __future__ import annotations
@@ -51,9 +53,8 @@ from .errors import (
     IllegalTokenError,
     InvalidScoreError,
     InvalidSequenceError,
-    UnknownLabelError,
 )
-from .linearizer import validate_sequence
+from .linearizer import _advance_parts, _labels, _replay, _vocabulary_parts, validate_sequence
 from .taxonomy import Taxonomy
 from .tokens import EOS, POP, sequence_sort_key, token_sort_key
 
@@ -90,18 +91,6 @@ class DecoderState:
 
 
 @dataclass(frozen=True)
-class Hypothesis:
-    """A partial decode: token prefix, automaton state, accumulated log probability.
-
-    ``state`` is None in unconstrained decoding, which has no automaton.
-    """
-
-    tokens: tuple[str, ...]
-    state: DecoderState | None
-    logprob: float
-
-
-@dataclass(frozen=True)
 class DecodedSequence:
     """A finished decode in stored form: no ``<eos>``, root token first.
 
@@ -129,44 +118,11 @@ def initial_state(tax: Taxonomy) -> DecoderState:
     return DecoderState(stack=(tax.root,), visited=frozenset())
 
 
-def _vocabulary_parts(
-    tax: Taxonomy, stack: tuple[str, ...], visited: Collection[str]
-) -> tuple[str, ...]:
-    """The dynamic vocabulary of a (stack, visited) pair in tie-break order, without a sort.
-
-    Unvisited children of the stack top come first, by name from the
-    taxonomy's precomputed table, then POP above the root or ``<eos>`` at it.
-    """
-    if not stack or stack[0] != tax.root:
-        raise IllegalStateError(f"no vocabulary for stack {stack!r}: its bottom is not the root")
-    try:
-        children = tax._ordered_children[stack[-1]]
-    except KeyError:
-        raise UnknownLabelError(stack[-1]) from None
-    return (*[c for c in children if c not in visited], POP if len(stack) > 1 else EOS)
-
-
-def _advance_parts(
-    stack: tuple[str, ...], visited: frozenset[str], token: str
-) -> tuple[tuple[str, ...], frozenset[str]]:
-    """Push a label or pop on POP; ``token`` is known to be in the vocabulary and not ``<eos>``."""
-    if token == POP:
-        return stack[:-1], visited
-    return stack + (token,), visited | {token}
-
-
 def _vocabulary(tax: Taxonomy, state: DecoderState) -> tuple[str, ...]:
     """The dynamic vocabulary of ``state`` in tie-break order; none after ``<eos>``."""
     if state.terminal:
         raise IllegalStateError(f"no vocabulary for state {state!r}")
     return _vocabulary_parts(tax, state.stack, state.visited)
-
-
-def _advance(state: DecoderState, token: str) -> DecoderState:
-    """The transition for a token already known to be in ``state``'s vocabulary."""
-    if token == EOS:
-        return DecoderState(state.stack, state.visited, terminal=True)
-    return DecoderState(*_advance_parts(state.stack, state.visited, token))
 
 
 def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
@@ -179,17 +135,20 @@ def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
     vocab = _vocabulary(tax, state)
     if token not in vocab:
         raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
-    return _advance(state, token)
+    if token == EOS:
+        return DecoderState(state.stack, state.visited, terminal=True)
+    return DecoderState(*_advance_parts(state.stack, state.visited, token))
 
 
 def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
-    """Replay a whole prefix (root first) into its automaton state."""
-    if not tokens or tokens[0] != tax.root:
-        raise InvalidSequenceError(0, "NOT_ROOT_FIRST", "prefix must start with the root token")
-    state = initial_state(tax)
-    for token in tokens[1:]:
-        state = step(tax, state, token)
-    return state
+    """Replay a whole stored-form prefix (root first, no ``<eos>``) into its automaton state.
+
+    Raises InvalidSequenceError at the first token the automaton rejects.
+    """
+    stack, visited, position, code = _replay(tax, tokens)
+    if code is not None:
+        raise InvalidSequenceError(position, code, "invalid prefix")
+    return DecoderState(tuple(stack), frozenset(visited))
 
 
 def _log_softmax(tokens: Sequence[str], values: Sequence[float]) -> list[float]:
@@ -261,14 +220,13 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     report = validate_sequence(tax, gold)
     if not report.ok:
         raise InvalidSequenceError(report.position, report.code, "gold sequence is invalid")
-    state = initial_state(tax)
-    prefix = (tax.root,)
+    stack, visited = (tax.root,), frozenset()
     total = 0.0
-    for token in tuple(gold[1:]) + (EOS,):
-        vocab = _vocabulary(tax, state)
-        total -= _masked_log_probs(scorer, text, prefix, vocab)[vocab.index(token)]
-        state = _advance(state, token)
-        prefix = prefix + (token,)
+    for end, token in enumerate([*gold[1:], EOS], start=1):
+        vocab = _vocabulary_parts(tax, stack, visited)
+        total -= _masked_log_probs(scorer, text, tuple(gold[:end]), vocab)[vocab.index(token)]
+        if token != EOS:
+            stack, visited = _advance_parts(stack, visited, token)
     return total
 
 
@@ -279,33 +237,32 @@ def max_decode_length(tax: Taxonomy) -> int:
 
 def _beam(
     tax: Taxonomy, scorer: Scorer, text: str, beam_width: int, constrained: bool
-) -> list[Hypothesis]:
-    """The beam loop of both decode modes; returns the banked hypotheses, best first.
+) -> list[DecodedSequence]:
+    """The beam loop of both decode modes; returns the banked results, best first.
 
     An active hypothesis is a plain ``(logprob, tokens, stack, visited)``
-    tuple (stack and visited are None in unconstrained mode); a
-    ``Hypothesis`` and its ``DecoderState`` are built only when it is
-    banked. ``active`` is kept in lexicographic token order. Its hypotheses
-    all have the same length, and each step's candidates come in
-    ``token_sort_key`` order, so an expansion's full key ``(-logprob,
-    sequence_sort_key(tokens))`` orders exactly like ``(-logprob, parent
-    rank, candidate index)``. Only the ``beam_width`` smallest of those
-    short keys become hypotheses; re-sorting them by (parent rank, index)
-    gives the next step's ranks. A survivor's token comes from the
-    vocabulary its parent was just scored over, so it advances without a
-    second check. Banked hypotheses differ in length, so each gets its full
-    key once, when it is banked.
+    tuple (stack and visited are None in unconstrained mode); a banked one
+    is a ``(key, tokens)`` pair, and only the final bank is turned into
+    ``DecodedSequence`` objects. ``active`` is kept in lexicographic token
+    order. Its hypotheses all have the same length, and each step's
+    candidates come in ``token_sort_key`` order, so an expansion's full key
+    ``(-logprob, sequence_sort_key(tokens))`` orders exactly like
+    ``(-logprob, parent rank, candidate index)``. Only the ``beam_width``
+    smallest of those short keys become hypotheses; re-sorting them by
+    (parent rank, index) gives the next step's ranks. A survivor's token
+    comes from the vocabulary its parent was just scored over, so it
+    advances without a second check. Banked hypotheses differ in length, so
+    each gets its full key once, when it is banked.
     """
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     limit = max_decode_length(tax)
     if constrained:
-        start = initial_state(tax)
-        active = [(0.0, (tax.root,), start.stack, start.visited)]
+        active = [(0.0, (tax.root,), (tax.root,), frozenset())]
     else:
         candidates = full_alphabet(tax)
         active = [(0.0, (tax.root,), None, None)]
-    banked: list[tuple[tuple, Hypothesis]] = []  # ((-logprob, sequence_sort_key), hyp)
+    banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, sequence_sort_key), tokens)
     while active:
         if constrained and len(active[0][1]) >= limit:
             raise DecodeOverflowError(
@@ -327,9 +284,7 @@ def _beam(
             token = vocabularies[rank][index]
             tokens += (token,)
             if token == EOS or (not constrained and len(tokens) >= limit):
-                state = _advance(DecoderState(stack, visited), token) if constrained else None
-                hyp = Hypothesis(tokens, state, -negative)
-                banked.append(((negative, sequence_sort_key(tokens)), hyp))
+                banked.append(((negative, sequence_sort_key(tokens)), tokens))
             elif constrained:
                 active.append((-negative, tokens, *_advance_parts(stack, visited, token)))
             else:
@@ -339,16 +294,15 @@ def _beam(
         if (
             len(banked) == beam_width
             and active
-            and max([hyp[0] for hyp in active]) < banked[-1][1].logprob
+            and max([hyp[0] for hyp in active]) < -banked[-1][0][0]
         ):
             break
-    return [hyp for _, hyp in banked]
-
-
-def _decoded(tax: Taxonomy, hyp: Hypothesis) -> DecodedSequence:
-    stored = hyp.tokens[:-1] if hyp.tokens[-1] == EOS else hyp.tokens
-    labels = frozenset(t for t in stored if t != POP and t != tax.root)
-    return DecodedSequence(stored, labels, hyp.logprob)
+    return [
+        DecodedSequence(
+            tokens[:-1] if tokens[-1] == EOS else tokens, frozenset(_labels(tax, tokens)), -negative
+        )
+        for (negative, _), tokens in banked
+    ]
 
 
 def constrained_beam_search(
@@ -367,7 +321,7 @@ def constrained_beam_search(
     sequence validation, so the top label set is consistent for any
     scorer.
     """
-    return [_decoded(tax, hyp) for hyp in _beam(tax, scorer, text, beam_width, constrained=True)]
+    return _beam(tax, scorer, text, beam_width, constrained=True)
 
 
 def greedy_decode(tax: Taxonomy, scorer: Scorer, text: str) -> DecodedSequence:
@@ -393,4 +347,4 @@ def unconstrained_decode(
     are those of constrained_beam_search; the best banked hypothesis is
     returned.
     """
-    return _decoded(tax, _beam(tax, scorer, text, beam_width, constrained=False)[0])
+    return _beam(tax, scorer, text, beam_width, constrained=False)[0]

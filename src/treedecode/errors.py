@@ -79,11 +79,18 @@ class ModelMismatchError(TreeDecodeError):
     code = "MODEL_MISMATCH"
 
 
+class ModelFormatError(TreeDecodeError):
+    """A scorer model file is not JSON or does not have the model's shape."""
+
+    code = "MODEL_FORMAT"
+
+
 class CorpusFormatError(TreeDecodeError):
     """A corpus or predictions file record is malformed.
 
-    Bad JSON, a missing or repeated id, labels that are not a list, or a
-    sequence that is neither a string nor a list of strings.
+    Bad JSON, a missing or repeated id, text that is not a string, labels
+    that are not a list of strings, or a sequence that is neither a string
+    nor a list of strings.
     """
 
     code = "CORPUS_FORMAT"

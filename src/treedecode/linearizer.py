@@ -9,21 +9,27 @@ Company} becomes
 
 The root opens the sequence and is never popped; termination is the
 decoder's ``<eos>``, which is not part of the stored sequence.
+
+This module owns the stack automaton: its one legality rule
+(``_vocabulary_parts``), its transition (``_advance_parts``) and its
+replay of a sequence (``_replay``). The validator here and the decoder
+in ``decoding`` both run on them, so they accept the same sequences.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Collection, Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
     EmptyLabelSetError,
+    IllegalStateError,
     InconsistentLabelSetError,
     InvalidSequenceError,
     UnknownLabelError,
 )
 from .taxonomy import Taxonomy
-from .tokens import POP
+from .tokens import EOS, POP
 
 NOT_ROOT_FIRST = "NOT_ROOT_FIRST"
 NON_CHILD = "NON_CHILD"
@@ -78,6 +84,67 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     return tokens
 
 
+def _vocabulary_parts(
+    tax: Taxonomy, stack: Sequence[str], visited: Collection[str]
+) -> tuple[str, ...]:
+    """The dynamic vocabulary of a (stack, visited) pair in tie-break order, without a sort.
+
+    Unvisited children of the stack top come first, by name from the
+    taxonomy's precomputed table, then POP above the root or ``<eos>`` at it.
+    """
+    if not stack or stack[0] != tax.root:
+        raise IllegalStateError(f"no vocabulary for stack {stack!r}: its bottom is not the root")
+    try:
+        children = tax._ordered_children[stack[-1]]
+    except KeyError:
+        raise UnknownLabelError(stack[-1]) from None
+    return (*[c for c in children if c not in visited], POP if len(stack) > 1 else EOS)
+
+
+def _advance_parts(
+    stack: tuple[str, ...], visited: frozenset[str], token: str
+) -> tuple[tuple[str, ...], frozenset[str]]:
+    """Push a label or pop on POP; ``token`` is known to be in the vocabulary and not ``<eos>``."""
+    if token == POP:
+        return stack[:-1], visited
+    return stack + (token,), visited | {token}
+
+
+def _replay(tax: Taxonomy, tokens: Sequence[str]) -> tuple[list[str], set[str], int, str | None]:
+    """Run stored-form tokens (never ``<eos>``) through the automaton up to the first illegal one.
+
+    Returns the stack and visited labels before that token, its position
+    and its violation code; ``(..., len(tokens), None)`` if all are legal.
+    """
+    if not tokens or tokens[0] != tax.root:
+        return [], set(), 0, NOT_ROOT_FIRST
+    stack = [tax.root]
+    visited: set[str] = set()
+    for position in range(1, len(tokens)):
+        token = tokens[position]
+        if token == EOS or token not in _vocabulary_parts(tax, stack, visited):
+            if token == POP:
+                code = POP_AT_ROOT
+            elif token not in tax:
+                code = UNKNOWN_LABEL
+            elif tax.parent(token) != stack[-1]:
+                code = NON_CHILD
+            else:
+                code = DUPLICATE_LABEL
+            return stack, visited, position, code
+        if token == POP:
+            stack.pop()
+        else:
+            stack.append(token)
+            visited.add(token)
+    return stack, visited, len(tokens), None
+
+
+def _labels(tax: Taxonomy, tokens: Iterable[str]) -> set[str]:
+    """The label tokens of a sequence: everything but POP, ``<eos>`` and the root."""
+    return set(tokens).difference((POP, EOS, tax.root))
+
+
 def validate_sequence(tax: Taxonomy, tokens: Sequence[str], *, complete: bool = True) -> SequenceReport:
     """Replay tokens through the stack automaton and report the first violation.
 
@@ -85,32 +152,11 @@ def validate_sequence(tax: Taxonomy, tokens: Sequence[str], *, complete: bool = 
     return to the root by the end; ``complete=False`` accepts any valid
     prefix, which is what decoder hypotheses are.
     """
-    if not tokens or tokens[0] != tax.root:
-        return SequenceReport(False, 0, NOT_ROOT_FIRST)
-    depth = 1  # stack height; the stack bottom is always the root
-    stack_top = tax.root
-    parents: list[str] = []
-    used: set[str] = {tax.root}
-    for pos in range(1, len(tokens)):
-        token = tokens[pos]
-        if token == POP:
-            if depth == 1:
-                return SequenceReport(False, pos, POP_AT_ROOT)
-            depth -= 1
-            stack_top = parents.pop()
-        elif token not in tax:
-            return SequenceReport(False, pos, UNKNOWN_LABEL)
-        elif token not in tax.children(stack_top):
-            return SequenceReport(False, pos, NON_CHILD)
-        elif token in used:
-            return SequenceReport(False, pos, DUPLICATE_LABEL)
-        else:
-            parents.append(stack_top)
-            stack_top = token
-            used.add(token)
-            depth += 1
-    if complete and depth != 1:
-        return SequenceReport(False, len(tokens), UNCLOSED)
+    stack, _, position, code = _replay(tax, tokens)
+    if code is not None:
+        return SequenceReport(False, position, code)
+    if complete and len(stack) != 1:
+        return SequenceReport(False, position, UNCLOSED)
     return SequenceReport(True)
 
 
@@ -123,4 +169,4 @@ def delinearize(tax: Taxonomy, tokens: Sequence[str]) -> set[str]:
     report = validate_sequence(tax, tokens)
     if not report.ok:
         raise InvalidSequenceError(report.position, report.code)
-    return {t for t in tokens if t != POP and t != tax.root}
+    return _labels(tax, tokens)

@@ -18,7 +18,7 @@ from itertools import pairwise
 from pathlib import Path
 
 from .decoding import full_alphabet
-from .errors import EmptyCorpusError, InconsistentLabelSetError
+from .errors import EmptyCorpusError, InconsistentLabelSetError, ModelFormatError
 from .linearizer import linearize
 from .taxonomy import Taxonomy
 from .tokens import EOS
@@ -132,9 +132,25 @@ class BigramScorer:
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramScorer":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        counts = {prev: {t: int(n) for t, n in nxt.items()} for prev, nxt in data["counts"].items()}
-        return cls(tuple(data["alphabet"]), counts)
+        """Read a model written by ``save``; raises ModelFormatError on any other content."""
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+            raise ModelFormatError(f"{path}: not a JSON model file ({err})") from None
+        if not isinstance(data, dict) or "alphabet" not in data or "counts" not in data:
+            raise ModelFormatError(f"{path}: expected an object with 'alphabet' and 'counts'")
+        alphabet, counts = data["alphabet"], data["counts"]
+        if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
+            raise ModelFormatError(f"{path}: 'alphabet' must be a list of strings")
+        if not isinstance(counts, dict) or not all(
+            isinstance(row, dict)
+            and all(type(n) is int and n >= 0 for n in row.values())
+            for row in counts.values()
+        ):
+            raise ModelFormatError(
+                f"{path}: 'counts' must map each token to an object of non-negative integers"
+            )
+        return cls(tuple(alphabet), counts)
 
 
 def fit_bigram_scorer(

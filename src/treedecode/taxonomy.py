@@ -75,7 +75,7 @@ class Taxonomy:
                     nxt.append(child)
             frontier = nxt
         # Every node's children in the decoder's tie-break order, read by
-        # decoding._vocabulary so that no decode step has to sort.
+        # linearizer._vocabulary_parts so that no decode step has to sort.
         self._ordered_children = {
             n: tuple(sorted(self._children.get(n, ()), key=token_sort_key)) for n in nodes
         }

@@ -196,6 +196,38 @@ def test_decode_bigram_rejects_a_model_of_another_taxonomy(tmp_path, capsys):
     assert "['A', 'B']" in error["message"] and "['X', 'Y']" in error["message"]
 
 
+MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment", "Movie", "<eos>", "POP"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(b"not json", id="not-json"),
+        pytest.param(b"\xff\xfe{}", id="not-utf8"),
+        pytest.param(["alphabet", "counts"], id="not-an-object"),
+        pytest.param({"counts": {}}, id="no-alphabet"),
+        pytest.param({"alphabet": MEDIA_ALPHABET}, id="no-counts"),
+        pytest.param({"alphabet": "Action", "counts": {}}, id="alphabet-string"),
+        pytest.param({"alphabet": [*MEDIA_ALPHABET, 7], "counts": {}}, id="alphabet-number"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": []}, id="counts-list"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": 3}}, id="row-number"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": "3"}}}, id="count-string"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": 1.5}}}, id="count-float"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": -1}}}, id="count-negative"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": True}}}, id="count-bool"),
+    ],
+)
+def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file, tmp_path, capsys):
+    model = tmp_path / "model.json"
+    model.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
+    code, out, err = run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
+                         "--scorer", "bigram", "--model", str(model))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == "MODEL_FORMAT"
+
+
 def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, capsys):
     # Before the check, linearize wrote "Root my label POP" and delinearize
     # then failed on the unknown label "my".
@@ -350,6 +382,10 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("delinearize", {"id": "s1", "sequence": 7}, id="delinearize-sequence-number"),
         pytest.param("delinearize", {"id": "s1", "sequence": ["Root", 7]}, id="delinearize-token-number"),
         pytest.param("linearize", {"id": "d1", "labels": "AB"}, id="corpus-labels-string"),
+        pytest.param("linearize", {"id": "d1", "labels": ["Entertainment", 3]}, id="corpus-label-number"),
+        pytest.param("evaluate", {"id": "d1", "labels": ["Entertainment", None]}, id="evaluate-label-null"),
+        pytest.param("decode", {"id": "d1", "text": None}, id="decode-text-null"),
+        pytest.param("linearize", {"id": "d1", "text": ["a"], "labels": ["Business"]}, id="corpus-text-list"),
     ],
 )
 def test_malformed_record_is_a_corpus_format_error(

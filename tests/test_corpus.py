@@ -54,7 +54,7 @@ def test_non_object_row(tmp_path):
         read_jsonl(path)
 
 
-@pytest.mark.parametrize("labels", ['"AB"', '{"A": 1}', "3"])
+@pytest.mark.parametrize("labels", ['"AB"', '{"A": 1}', "3", '["A", null]', '["A", 3]'])
 def test_labels_must_be_a_list(tmp_path, labels):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "d1", "labels": %s}\n' % labels)

@@ -176,8 +176,14 @@ def test_incremental_matches_full_replay():
 
 
 def test_state_from_prefix_requires_root(media_tax):
-    with pytest.raises(InvalidSequenceError):
-        state_from_prefix(media_tax, ["Entertainment"])
+    for prefix, position, issue in [
+        (["Entertainment"], 0, "NOT_ROOT_FIRST"),
+        (["Root", "Business", "Documentary"], 2, "NON_CHILD"),
+        (["Root", EOS], 1, "UNKNOWN_LABEL"),  # stored form: <eos> is never part of a prefix
+    ]:
+        with pytest.raises(InvalidSequenceError) as err:
+            state_from_prefix(media_tax, prefix)
+        assert (err.value.position, err.value.issue) == (position, issue)
 
 
 # -- restricted softmax ------------------------------------------------------

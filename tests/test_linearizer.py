@@ -8,10 +8,12 @@ from conftest import (
     TWO_PATH_LABELS,
     TWO_PATH_RENDERED,
     TWO_PATH_SEQUENCE,
+    oracle_continuations,
     random_consistent_labels,
     random_taxonomy,
 )
 from treedecode import (
+    EOS,
     EmptyLabelSetError,
     InconsistentLabelSetError,
     InvalidSequenceError,
@@ -19,6 +21,7 @@ from treedecode import (
     Taxonomy,
     UnknownLabelError,
     delinearize,
+    full_alphabet,
     linearize,
     parse_sequence,
     render_sequence,
@@ -75,12 +78,39 @@ def test_delinearize_reports_offending_position(media_tax):
         (["Root", "Entertainment", "POP", "Entertainment", "POP"], 3, "DUPLICATE_LABEL"),
         (["Root", "Entertainment"], 2, "UNCLOSED"),
         (["Root", "Root", "POP"], 1, "NON_CHILD"),
+        # <eos> at the root, where the decoder's vocabulary offers it: never stored.
+        (["Root", "Entertainment", "POP", "<eos>"], 3, "UNKNOWN_LABEL"),
+        (["Root", "<bos>"], 1, "UNKNOWN_LABEL"),
+        (["Root", "Entertainment", "Company"], 2, "NON_CHILD"),
+        (["Root", "Entertainment", "Movie", "POP", "Movie"], 4, "DUPLICATE_LABEL"),
     ],
 )
 def test_validate_sequence_violations(media_tax, tokens, position, code):
     report = validate_sequence(media_tax, tokens)
     assert not report.ok
     assert (report.position, report.code) == (position, code)
+
+
+def test_first_violation_matches_brute_force_oracle():
+    # Mostly invalid sequences: each token is a legal continuation or, one
+    # time in four, any token of the alphabet (the root included).
+    rng = random.Random(59)
+    for _ in range(300):
+        tax = random_taxonomy(rng, rng.randint(2, 8))
+        alphabet = [tax.root, *full_alphabet(tax)]
+        tokens = []
+        for _ in range(rng.randint(1, 2 * len(tax) + 2)):
+            legal = sorted(oracle_continuations(tax, tokens) - {EOS})
+            tokens.append(rng.choice(legal if legal and rng.random() < 0.75 else alphabet))
+        expected = next(
+            (
+                i for i, token in enumerate(tokens)
+                if token == EOS or token not in oracle_continuations(tax, tokens[:i])
+            ),
+            None,
+        )
+        report = validate_sequence(tax, tokens, complete=False)
+        assert (report.ok, report.position) == (expected is None, expected), tokens
 
 
 def test_validate_sequence_accepts_two_path(media_tax):
