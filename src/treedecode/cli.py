@@ -12,14 +12,17 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-from . import decoding, metrics
+from . import decoding, metrics, taxonomy
 from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, write_jsonl
 from .errors import (
     AlignmentError,
     CorpusFormatError,
     DecodeOverflowError,
+    InconsistentLabelSetError,
+    InvalidTaxonomyError,
     ModelMismatchError,
     TreeDecodeError,
+    UnknownLabelError,
 )
 from .linearizer import delinearize, linearize
 from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
@@ -31,8 +34,16 @@ def _fail(message: str) -> None:
     print(f"error: {message}", file=sys.stderr)
 
 
+def _taxonomy_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        issue = taxonomy.Issue("ENCODING", f"{path} is not UTF-8 ({err})")
+        raise InvalidTaxonomyError(taxonomy.ValidationReport((issue,))) from None
+
+
 def _load_taxonomy(path: str) -> Taxonomy:
-    return parse_taxonomy(Path(path).read_text(encoding="utf-8"))
+    return parse_taxonomy(_taxonomy_text(path))
 
 
 def _write_rows(path: str, rows: list[dict]) -> None:
@@ -44,7 +55,7 @@ def _write_rows(path: str, rows: list[dict]) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_taxonomy(Path(args.taxonomy).read_text(encoding="utf-8"))
+    report = validate_taxonomy(_taxonomy_text(args.taxonomy))
     print(json.dumps(report.to_dict(), indent=2))
     return 0 if report.ok else 1
 
@@ -62,20 +73,13 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     problems = []
     repaired = 0
     for doc in documents:
-        labels = set(_gold_labels(doc))
-        for label in labels:
-            if label not in tax:
-                problems.append(f"document {doc.id!r}: unknown label {label!r}")
-                break
-        else:
-            if not tax.is_consistent(labels):
-                if args.closure:
-                    labels = tax.ancestor_closure(labels)
-                    repaired += 1
-                else:
-                    problems.append(f"document {doc.id!r}: inconsistent label set")
-                    continue
-            rows.append({"id": doc.id, "sequence": render_sequence(linearize(tax, labels))})
+        labels = _gold_labels(doc)
+        try:
+            closed = tax.ancestor_closure(labels) if args.closure else labels
+            repaired += len(closed) > len(labels)
+            rows.append({"id": doc.id, "sequence": render_sequence(linearize(tax, closed))})
+        except (UnknownLabelError, InconsistentLabelSetError) as err:
+            problems.append(f"document {doc.id!r}: {err}")
     if problems:
         for problem in problems:
             _fail(problem)

@@ -1,9 +1,9 @@
-"""JSON-lines corpus and prediction files.
+"""UTF-8 JSON-lines corpus and prediction files.
 
 A corpus record is ``{"id": ..., "text": ..., "labels": [...]}``; text
 may be empty or absent and labels may be absent for decode-only input.
-Ids must be unique within a file, text a string and labels, when
-present, a JSON list of strings. Prediction files use the same record
+Ids must be strings, unique within a file, text a string and labels,
+when present, a JSON list of strings. Prediction files use the same record
 shape (text is ignored).
 """
 
@@ -31,18 +31,21 @@ class DocumentRecord:
 
 
 def read_jsonl(path: str | Path) -> list[dict]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
+    except UnicodeDecodeError as err:
+        raise CorpusFormatError(f"{path}: not UTF-8 ({err})") from None
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
-            if not isinstance(row, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            rows.append(row)
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as err:
+            raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
+        if not isinstance(row, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        rows.append(row)
     return rows
 
 
@@ -53,10 +56,12 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 
 
 def record_id(path: str | Path, index: int, row: dict) -> str:
-    """The id of the ``index``-th record (from 1) as a string; a missing id is an error."""
+    """The id of the ``index``-th record (from 1); a missing or non-string id is an error."""
     if "id" not in row:
         raise CorpusFormatError(f"{path}: record {index} has no id")
-    return str(row["id"])
+    if not isinstance(row["id"], str):
+        raise CorpusFormatError(f"{path}: record {index} has id {row['id']!r:.60}, not a string")
+    return row["id"]
 
 
 def read_documents(path: str | Path) -> list[DocumentRecord]:

@@ -59,9 +59,6 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     members = set(labels)
     if not members:
         raise EmptyLabelSetError("cannot linearize an empty label set")
-    for label in members:
-        if label not in tax:
-            raise UnknownLabelError(label)
     if not tax.is_consistent(members):
         raise InconsistentLabelSetError(
             "label set is not closed under ancestors; apply ancestor_closure first"

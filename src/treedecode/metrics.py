@@ -68,20 +68,16 @@ def confusion_counts(
         for label in gold_doc | pred_doc:
             if label not in tax or label == tax.root:
                 raise UnknownLabelError(label)
-        for label in pred_doc:
-            credited = label in gold_doc and (
-                not constrained or all(a in pred_doc for a in tax.ancestors(label))
-            )
-            if credited:
-                tp[label] += 1
-            else:
-                fp[label] += 1
-        for label in gold_doc:
-            credited = label in pred_doc and (
-                not constrained or all(a in pred_doc for a in tax.ancestors(label))
-            )
-            if not credited:
-                fn[label] += 1
+        credited = {
+            label for label in gold_doc & pred_doc
+            if not constrained or all(a in pred_doc for a in tax.ancestors(label))
+        }
+        for label in credited:
+            tp[label] += 1
+        for label in pred_doc - credited:
+            fp[label] += 1
+        for label in gold_doc - credited:
+            fn[label] += 1
     return ConfusionCounts(
         {label: LabelCounts(tp[label], fp[label], fn[label]) for label in tax.labels}
     )

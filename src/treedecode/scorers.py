@@ -18,7 +18,7 @@ from itertools import pairwise
 from pathlib import Path
 
 from .decoding import full_alphabet
-from .errors import EmptyCorpusError, InconsistentLabelSetError, ModelFormatError
+from .errors import EmptyCorpusError, ModelFormatError
 from .linearizer import linearize
 from .taxonomy import Taxonomy
 from .tokens import EOS
@@ -142,13 +142,15 @@ class BigramScorer:
         alphabet, counts = data["alphabet"], data["counts"]
         if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
             raise ModelFormatError(f"{path}: 'alphabet' must be a list of strings")
+        known = set(alphabet)  # next tokens only: the root is a context outside the alphabet
         if not isinstance(counts, dict) or not all(
             isinstance(row, dict)
+            and known.issuperset(row)
             and all(type(n) is int and n >= 0 for n in row.values())
             for row in counts.values()
         ):
             raise ModelFormatError(
-                f"{path}: 'counts' must map each token to an object of non-negative integers"
+                f"{path}: each 'counts' row must map alphabet tokens to non-negative integers"
             )
         return cls(tuple(alphabet), counts)
 
@@ -168,21 +170,14 @@ def fit_bigram_scorer(
     """
     counts: dict[str, dict[str, int]] = {}
     repaired = 0
-    documents = 0
     for text, labels in corpus:
-        documents += 1
         label_set = set(labels)
-        if not tax.is_consistent(label_set):
-            if not closure:
-                raise InconsistentLabelSetError(
-                    "corpus contains an inconsistent label set; pass closure=True to repair"
-                )
-            label_set = tax.ancestor_closure(label_set)
-            repaired += 1
-        sequence = linearize(tax, label_set) + [EOS]
+        closed = tax.ancestor_closure(label_set) if closure else label_set
+        repaired += len(closed) > len(label_set)
+        sequence = linearize(tax, closed) + [EOS]
         for prev, nxt in pairwise(sequence):
             context = counts.setdefault(prev, {})
             context[nxt] = context.get(nxt, 0) + 1
-    if documents == 0:
+    if not counts:  # every document adds at least the transition root -> <eos>
         raise EmptyCorpusError("cannot fit a bigram scorer on an empty corpus")
     return BigramScorer(full_alphabet(tax), counts, repaired)

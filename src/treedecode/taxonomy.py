@@ -176,17 +176,20 @@ class Taxonomy:
         members = set(labels)
         for label in members:
             self._require(label)
-        for label in members:
-            if any(a not in members for a in self.ancestors(label)):
-                return False
-        return True
+        # Testing each member's parent is enough: induction covers the rest of its chain.
+        members.add(self._root)
+        return all(self._parent.get(label, self._root) in members for label in members)
 
     def ancestor_closure(self, labels: Iterable[str]) -> set[str]:
         """Smallest consistent superset: the union of all members' ancestor paths."""
         closed = set(labels)
         for label in tuple(closed):
             self._require(label)
-            closed.update(self.ancestors(label))
+            # A label already in the set gets its chain when the loop reaches it, if not before.
+            parent = self._parent.get(label, self._root)
+            while parent != self._root and parent not in closed:
+                closed.add(parent)
+                parent = self._parent[parent]
         return closed
 
     def render_edges(self) -> str:

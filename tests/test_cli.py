@@ -106,6 +106,29 @@ def test_fit_is_deterministic(tax_file, corpus_file, tmp_path, capsys):
     assert set(model) == {"alphabet", "counts"}
 
 
+def test_fit_inconsistent_corpus_requires_closure(tax_file, tmp_path, capsys):
+    rows = [
+        {"id": "x1", "text": "", "labels": ["Documentary", "Company"]},
+        {"id": "x2", "text": "", "labels": ["Entertainment"]},
+    ]
+    corpus, model = tmp_path / "inconsistent.jsonl", tmp_path / "m.json"
+    write_jsonl(corpus, rows)
+    fit = ["fit", "--taxonomy", tax_file, "--input", str(corpus), "--output", str(model)]
+    code, _, err = run(capsys, *fit)
+    assert code == 1
+    assert json.loads(err)["error"] == "INCONSISTENT_LABELSET"
+    assert not model.exists()
+
+    code, _, err = run(capsys, *fit, "--closure")
+    assert code == 0
+    assert "repaired 1" in err
+    closed, closed_model = tmp_path / "closed.jsonl", tmp_path / "closed.json"
+    write_jsonl(closed, [{**rows[0], "labels": GOLD_BY_ID["d1"]}, rows[1]])
+    assert run(capsys, "fit", "--taxonomy", tax_file, "--input", str(closed),
+               "--output", str(closed_model))[0] == 0
+    assert model.read_bytes() == closed_model.read_bytes()
+
+
 def test_fit_empty_corpus(tax_file, tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -215,6 +238,10 @@ MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": 1.5}}}, id="count-float"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": -1}}}, id="count-negative"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": True}}}, id="count-bool"),
+        pytest.param(
+            {"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Zebra": 1000, "Movie": 1}}},
+            id="count-outside-alphabet",
+        ),
     ],
 )
 def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file, tmp_path, capsys):
@@ -386,6 +413,10 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("evaluate", {"id": "d1", "labels": ["Entertainment", None]}, id="evaluate-label-null"),
         pytest.param("decode", {"id": "d1", "text": None}, id="decode-text-null"),
         pytest.param("linearize", {"id": "d1", "text": ["a"], "labels": ["Business"]}, id="corpus-text-list"),
+        pytest.param("decode", {"id": None, "text": ""}, id="decode-id-null"),
+        pytest.param("evaluate", {"id": 1, "labels": ["Entertainment"]}, id="evaluate-id-number"),
+        pytest.param("linearize", {"id": True, "labels": ["Business"]}, id="corpus-id-bool"),
+        pytest.param("delinearize", {"id": ["s1"], "sequence": "Root Business POP"}, id="delinearize-id-list"),
     ],
 )
 def test_malformed_record_is_a_corpus_format_error(
@@ -402,6 +433,39 @@ def test_malformed_record_is_a_corpus_format_error(
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "CORPUS_FORMAT"
+
+
+@pytest.mark.parametrize(
+    "command, flag, error",
+    [
+        pytest.param("validate", "--taxonomy", "INVALID_TAXONOMY", id="validate-taxonomy"),
+        pytest.param("decode", "--taxonomy", "INVALID_TAXONOMY", id="decode-taxonomy"),
+        pytest.param("decode", "--input", "CORPUS_FORMAT", id="decode-corpus"),
+        pytest.param("fit", "--input", "CORPUS_FORMAT", id="fit-corpus"),
+        pytest.param("evaluate", "--gold", "CORPUS_FORMAT", id="evaluate-gold"),
+        pytest.param("evaluate", "--predictions", "CORPUS_FORMAT", id="evaluate-predictions"),
+    ],
+)
+def test_non_utf8_file_is_a_json_error(
+    command, flag, error, tax_file, corpus_file, tmp_path, capsys
+):
+    model = str(tmp_path / "m.json")
+    files = {
+        "validate": {"--taxonomy": tax_file},
+        "decode": {"--taxonomy": tax_file, "--input": corpus_file},
+        "fit": {"--taxonomy": tax_file, "--input": corpus_file, "--output": model},
+        "evaluate": {"--taxonomy": tax_file, "--gold": corpus_file, "--predictions": corpus_file},
+    }[command]
+    # "é" in Latin-1 is the byte 0xe9, which cannot start a UTF-8 sequence here.
+    latin1 = b"Root\tCaf\xe9\n" if flag == "--taxonomy" else b'{"id": "d1", "text": "caf\xe9"}\n'
+    broken = tmp_path / "latin1"
+    broken.write_bytes(latin1)
+    files[flag] = str(broken)
+    code, out, err = run(capsys, command, *(part for pair in files.items() for part in pair))
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    assert json.loads(err)["error"] == error
 
 
 def test_decode_then_evaluate_reports_zero_inconsistent(tax_file, corpus_file, tmp_path, capsys):

@@ -132,6 +132,13 @@ def test_closure_properties():
         assert seeds <= closed
         assert tax.ancestor_closure(closed) == closed
         assert tax.is_consistent(closed)
+        # Random subsets of all nodes are mostly inconsistent and may hold the root;
+        # both queries must agree with their definitions over whole ancestor chains.
+        for _ in range(5):
+            labels = set(rng.sample(tax.nodes, k=rng.randint(0, len(tax.nodes))))
+            chains = [set(tax.ancestors(label)) for label in labels]
+            assert tax.ancestor_closure(labels) == labels.union(*chains)
+            assert tax.is_consistent(labels) == all(chain <= labels for chain in chains)
 
 
 def test_depth_matches_parent_chain_walk():
