@@ -41,7 +41,7 @@ def read_jsonl(path: str | Path) -> list[dict]:
             continue
         try:
             row = json.loads(line)
-        except json.JSONDecodeError as err:
+        except (ValueError, RecursionError) as err:  # bad JSON, too long an integer, too deep
             raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
         if not isinstance(row, dict):
             raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")

@@ -20,22 +20,20 @@ probability mass.
 
 Beam search ranks hypotheses by ``(-logprob, lexicographic tokens)``,
 comparing tokens with ``token_sort_key`` (labels by name, then ``<eos>``,
-then POP), so results are deterministic under exact ties. Each active
-hypothesis's vocabulary is derived once per step, already in that order:
-the taxonomy sorts every node's children by name when it is built, so
-the unvisited children come out sorted and POP or ``<eos>`` follows them.
+then POP), so results are deterministic under exact ties.
 
-A step is list arithmetic over that vocabulary tuple. The scorer's
-mapping is read once into a list aligned with the tuple, and one list
-kernel (``_log_softmax``) turns it into log probabilities; the public
-``restricted_log_softmax`` and ``sequence_nll`` use the same kernel.
-Active hypotheses travel as plain ``(logprob, tokens, stack, visited)``
-tuples, advanced by the same parts-level transition that ``step`` wraps;
-banked ones are ``(key, tokens)`` pairs, and only the final bank becomes
-``DecodedSequence`` objects. A step costs O(beam * |V|) to score and rank
-the expansions with constant-size keys; only the ``beam_width`` survivors
-are built, each with one prefix copy, and they advance without deriving
-the vocabulary again.
+A step is list arithmetic over each hypothesis's vocabulary tuple, read
+from its automaton frame (see ``linearizer``) already in that order: no
+set is built, filtered or sorted. The scorer's mapping is read once into
+a list aligned with the tuple, and one list kernel (``_log_softmax``)
+turns it into log probabilities; ``restricted_log_softmax`` and
+``sequence_nll`` use the same kernel. Active hypotheses are plain
+``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)`` pairs,
+and only the final bank becomes ``DecodedSequence`` objects. A step costs
+O(beam * |V|) to score and rank the expansions with constant-size keys;
+only the ``beam_width`` survivors are built, each with one prefix copy and
+one frame advance, an O(|V|) splice. The public ``DecoderState`` keeps
+the stack and visited labels instead, which frames cannot give back.
 """
 
 from __future__ import annotations
@@ -54,7 +52,7 @@ from .errors import (
     InvalidScoreError,
     InvalidSequenceError,
 )
-from .linearizer import _advance_parts, _labels, _replay, _vocabulary_parts, validate_sequence
+from .linearizer import _advance, _labels, _replay, _start_frame, validate_sequence
 from .taxonomy import Taxonomy
 from .tokens import EOS, POP, sequence_sort_key, token_sort_key
 
@@ -119,10 +117,11 @@ def initial_state(tax: Taxonomy) -> DecoderState:
 
 
 def _vocabulary(tax: Taxonomy, state: DecoderState) -> tuple[str, ...]:
-    """The dynamic vocabulary of ``state`` in tie-break order; none after ``<eos>``."""
-    if state.terminal:
+    """The stack top's start vocabulary less the visited labels; none after ``<eos>``."""
+    if state.terminal or not state.stack or state.stack[0] != tax.root:
         raise IllegalStateError(f"no vocabulary for state {state!r}")
-    return _vocabulary_parts(tax, state.stack, state.visited)
+    tax._require(state.stack[-1])
+    return tuple([t for t in tax._start[state.stack[-1]] if t not in state.visited])
 
 
 def dynamic_vocabulary(tax: Taxonomy, state: DecoderState) -> frozenset[str]:
@@ -137,7 +136,9 @@ def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
         raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
     if token == EOS:
         return DecoderState(state.stack, state.visited, terminal=True)
-    return DecoderState(*_advance_parts(state.stack, state.visited, token))
+    if token == POP:
+        return DecoderState(state.stack[:-1], state.visited)
+    return DecoderState(state.stack + (token,), state.visited | {token})
 
 
 def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
@@ -145,10 +146,10 @@ def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
 
     Raises InvalidSequenceError at the first token the automaton rejects.
     """
-    stack, visited, position, code = _replay(tax, tokens)
+    stack, position, code = _replay(tax, tokens)
     if code is not None:
         raise InvalidSequenceError(position, code, "invalid prefix")
-    return DecoderState(tuple(stack), frozenset(visited))
+    return DecoderState(tuple(stack), frozenset(_labels(tax, tokens)))
 
 
 def _log_softmax(tokens: Sequence[str], values: Sequence[float]) -> list[float]:
@@ -220,13 +221,14 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     report = validate_sequence(tax, gold)
     if not report.ok:
         raise InvalidSequenceError(report.position, report.code, "gold sequence is invalid")
-    stack, visited = (tax.root,), frozenset()
+    frame = _start_frame(tax)
     total = 0.0
     for end, token in enumerate([*gold[1:], EOS], start=1):
-        vocab = _vocabulary_parts(tax, stack, visited)
-        total -= _masked_log_probs(scorer, text, tuple(gold[:end]), vocab)[vocab.index(token)]
+        vocab = frame[0]
+        index = vocab.index(token)
+        total -= _masked_log_probs(scorer, text, tuple(gold[:end]), vocab)[index]
         if token != EOS:
-            stack, visited = _advance_parts(stack, visited, token)
+            frame = _advance(tax, frame, index)
     return total
 
 
@@ -240,9 +242,11 @@ def _beam(
 ) -> list[DecodedSequence]:
     """The beam loop of both decode modes; returns the banked results, best first.
 
-    An active hypothesis is a plain ``(logprob, tokens, stack, visited)``
-    tuple (stack and visited are None in unconstrained mode); a banked one
-    is a ``(key, tokens)`` pair, and only the final bank is turned into
+    An active hypothesis is a plain ``(logprob, tokens, frame)`` tuple, the
+    frame being its automaton state from ``linearizer``; in unconstrained
+    mode every hypothesis shares one frame whose vocabulary is the full
+    alphabet and which never advances. A banked hypothesis is a
+    ``(key, tokens)`` pair, and only the final bank is turned into
     ``DecodedSequence`` objects. ``active`` is kept in lexicographic token
     order. Its hypotheses all have the same length, and each step's
     candidates come in ``token_sort_key`` order, so an expansion's full key
@@ -257,38 +261,31 @@ def _beam(
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     limit = max_decode_length(tax)
-    if constrained:
-        active = [(0.0, (tax.root,), (tax.root,), frozenset())]
-    else:
-        candidates = full_alphabet(tax)
-        active = [(0.0, (tax.root,), None, None)]
+    frame = _start_frame(tax) if constrained else (full_alphabet(tax), None)
+    active = [(0.0, (tax.root,), frame)]
     banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, sequence_sort_key), tokens)
     while active:
         if constrained and len(active[0][1]) >= limit:
             raise DecodeOverflowError(
                 f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
             )
-        vocabularies = []  # the candidates of each active hypothesis, by rank
         expansions = []  # (-logprob, parent rank, candidate index)
-        for rank, (logprob, tokens, stack, visited) in enumerate(active):
-            if constrained:
-                candidates = _vocabulary_parts(tax, stack, visited)
-            vocabularies.append(candidates)
-            log_probs = _masked_log_probs(scorer, text, tokens, candidates)
+        for rank, (logprob, tokens, frame) in enumerate(active):
+            log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
             expansions += [(-(logprob + lp), rank, index) for index, lp in enumerate(log_probs)]
         survivors = heapq.nsmallest(beam_width, expansions)
         survivors.sort(key=itemgetter(1, 2))
         parents, active = active, []
         for negative, rank, index in survivors:
-            _, tokens, stack, visited = parents[rank]
-            token = vocabularies[rank][index]
+            _, tokens, frame = parents[rank]
+            token = frame[0][index]
             tokens += (token,)
             if token == EOS or (not constrained and len(tokens) >= limit):
                 banked.append(((negative, sequence_sort_key(tokens)), tokens))
             elif constrained:
-                active.append((-negative, tokens, *_advance_parts(stack, visited, token)))
+                active.append((-negative, tokens, _advance(tax, frame, index)))
             else:
-                active.append((-negative, tokens, None, None))
+                active.append((-negative, tokens, frame))
         banked.sort(key=itemgetter(0))
         del banked[beam_width:]
         if (

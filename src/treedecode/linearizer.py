@@ -10,23 +10,26 @@ Company} becomes
 The root opens the sequence and is never popped; termination is the
 decoder's ``<eos>``, which is not part of the stored sequence.
 
-This module owns the stack automaton: its one legality rule
-(``_vocabulary_parts``), its transition (``_advance_parts``) and its
-replay of a sequence (``_replay``). The validator here and the decoder
-in ``decoding`` both run on them, so they accept the same sequences.
+This module owns the stack automaton. Its state is a chain of frames,
+one per open label: a frame is ``(vocabulary, frame below)``, where the
+vocabulary is the tuple of tokens still legal while that label is the
+stack top, in tie-break order. A label's children can only be emitted
+while it is the top and it is pushed at most once, so the tuple alone
+remembers which children were already emitted; no visited set is kept.
+``_start_frame`` opens the root, ``_advance`` is the one transition, and
+``_replay`` runs a sequence through them. The validator here and the
+decoder in ``decoding`` all run on them, so they accept the same sequences.
 """
 
 from __future__ import annotations
 
-from collections.abc import Collection, Iterable, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from .errors import (
     EmptyLabelSetError,
-    IllegalStateError,
     InconsistentLabelSetError,
     InvalidSequenceError,
-    UnknownLabelError,
 )
 from .taxonomy import Taxonomy
 from .tokens import EOS, POP
@@ -81,45 +84,37 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     return tokens
 
 
-def _vocabulary_parts(
-    tax: Taxonomy, stack: Sequence[str], visited: Collection[str]
-) -> tuple[str, ...]:
-    """The dynamic vocabulary of a (stack, visited) pair in tie-break order, without a sort.
+def _start_frame(tax: Taxonomy) -> tuple:
+    """The automaton state after the root token: the root's frame, with nothing below it."""
+    return tax._start[tax.root], None
 
-    Unvisited children of the stack top come first, by name from the
-    taxonomy's precomputed table, then POP above the root or ``<eos>`` at it.
+
+def _advance(tax: Taxonomy, frame: tuple, index: int) -> tuple:
+    """The frame after the token at ``index`` of ``frame``'s vocabulary (never ``<eos>``).
+
+    POP returns the frame below; a label leaves its parent's tuple and opens its start frame.
     """
-    if not stack or stack[0] != tax.root:
-        raise IllegalStateError(f"no vocabulary for stack {stack!r}: its bottom is not the root")
-    try:
-        children = tax._ordered_children[stack[-1]]
-    except KeyError:
-        raise UnknownLabelError(stack[-1]) from None
-    return (*[c for c in children if c not in visited], POP if len(stack) > 1 else EOS)
-
-
-def _advance_parts(
-    stack: tuple[str, ...], visited: frozenset[str], token: str
-) -> tuple[tuple[str, ...], frozenset[str]]:
-    """Push a label or pop on POP; ``token`` is known to be in the vocabulary and not ``<eos>``."""
+    vocab, below = frame
+    token = vocab[index]
     if token == POP:
-        return stack[:-1], visited
-    return stack + (token,), visited | {token}
+        return below
+    return tax._start[token], (vocab[:index] + vocab[index + 1 :], below)
 
 
-def _replay(tax: Taxonomy, tokens: Sequence[str]) -> tuple[list[str], set[str], int, str | None]:
+def _replay(tax: Taxonomy, tokens: Sequence[str]) -> tuple[list[str], int, str | None]:
     """Run stored-form tokens (never ``<eos>``) through the automaton up to the first illegal one.
 
-    Returns the stack and visited labels before that token, its position
-    and its violation code; ``(..., len(tokens), None)`` if all are legal.
+    Returns the label stack before that token, its position and its
+    violation code; ``(..., len(tokens), None)`` if all are legal.
     """
     if not tokens or tokens[0] != tax.root:
-        return [], set(), 0, NOT_ROOT_FIRST
+        return [], 0, NOT_ROOT_FIRST
     stack = [tax.root]
-    visited: set[str] = set()
+    frame = _start_frame(tax)
     for position in range(1, len(tokens)):
         token = tokens[position]
-        if token == EOS or token not in _vocabulary_parts(tax, stack, visited):
+        vocab = frame[0]
+        if token == EOS or token not in vocab:
             if token == POP:
                 code = POP_AT_ROOT
             elif token not in tax:
@@ -128,13 +123,13 @@ def _replay(tax: Taxonomy, tokens: Sequence[str]) -> tuple[list[str], set[str], 
                 code = NON_CHILD
             else:
                 code = DUPLICATE_LABEL
-            return stack, visited, position, code
+            return stack, position, code
+        frame = _advance(tax, frame, vocab.index(token))
         if token == POP:
             stack.pop()
         else:
             stack.append(token)
-            visited.add(token)
-    return stack, visited, len(tokens), None
+    return stack, len(tokens), None
 
 
 def _labels(tax: Taxonomy, tokens: Iterable[str]) -> set[str]:
@@ -149,7 +144,7 @@ def validate_sequence(tax: Taxonomy, tokens: Sequence[str], *, complete: bool = 
     return to the root by the end; ``complete=False`` accepts any valid
     prefix, which is what decoder hypotheses are.
     """
-    stack, _, position, code = _replay(tax, tokens)
+    stack, position, code = _replay(tax, tokens)
     if code is not None:
         return SequenceReport(False, position, code)
     if complete and len(stack) != 1:

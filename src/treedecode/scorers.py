@@ -24,6 +24,11 @@ from .taxonomy import Taxonomy
 from .tokens import EOS
 
 
+# Counts below 2**53 are exact as floats, and no sum of them is large enough
+# for a smoothed probability to underflow to 0.
+MAX_COUNT = 2**53
+
+
 class UniformScorer:
     """Equal raw score (0.0) for every candidate."""
 
@@ -135,7 +140,7 @@ class BigramScorer:
         """Read a model written by ``save``; raises ModelFormatError on any other content."""
         try:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as err:
+        except (ValueError, RecursionError) as err:  # not UTF-8 or JSON, too long an int, too deep
             raise ModelFormatError(f"{path}: not a JSON model file ({err})") from None
         if not isinstance(data, dict) or "alphabet" not in data or "counts" not in data:
             raise ModelFormatError(f"{path}: expected an object with 'alphabet' and 'counts'")
@@ -146,11 +151,11 @@ class BigramScorer:
         if not isinstance(counts, dict) or not all(
             isinstance(row, dict)
             and known.issuperset(row)
-            and all(type(n) is int and n >= 0 for n in row.values())
+            and all(type(n) is int and 0 <= n < MAX_COUNT for n in row.values())
             for row in counts.values()
         ):
             raise ModelFormatError(
-                f"{path}: each 'counts' row must map alphabet tokens to non-negative integers"
+                f"{path}: each 'counts' row must map alphabet tokens to integers in [0, 2**53)"
             )
         return cls(tuple(alphabet), counts)
 

@@ -5,8 +5,8 @@ line; lines starting with ``#`` and blank lines are ignored. Names may not
 contain whitespace, which separates tokens in a rendered sequence. The
 root is the unique node that never appears as a child. Child order is the
 order of first appearance in the file and fixes linearization order; the
-decoder breaks ties by label name, from a per-node table of children
-sorted once when the taxonomy is built.
+decoder breaks ties by label name, from a per-node start vocabulary
+(children sorted by name, then POP or ``<eos>``) built once with the taxonomy.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .errors import InvalidTaxonomyError, UnknownLabelError
-from .tokens import RESERVED_TOKENS, token_sort_key
+from .tokens import EOS, POP, RESERVED_TOKENS, token_sort_key
 
 if TYPE_CHECKING:
     from .corpus import DocumentRecord
@@ -56,7 +56,7 @@ class Taxonomy:
     construction skips validation and is not supported.
     """
 
-    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_ordered_children")
+    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_start")
 
     def __init__(self, root: str, children: Mapping[str, tuple[str, ...]], nodes: tuple[str, ...]):
         self._root = root
@@ -74,10 +74,12 @@ class Taxonomy:
                     self._depth[child] = self._depth[node] + 1
                     nxt.append(child)
             frontier = nxt
-        # Every node's children in the decoder's tie-break order, read by
-        # linearizer._vocabulary_parts so that no decode step has to sort.
-        self._ordered_children = {
-            n: tuple(sorted(self._children.get(n, ()), key=token_sort_key)) for n in nodes
+        # Every node's start vocabulary, the automaton frame it opens when
+        # pushed: its children in the decoder's tie-break order, then POP
+        # (``<eos>`` for the root). No decode step has to sort or filter.
+        self._start = {
+            n: (*sorted(self._children.get(n, ()), key=token_sort_key), EOS if n == root else POP)
+            for n in nodes
         }
 
     @classmethod
@@ -140,6 +142,12 @@ class Taxonomy:
         if node not in self._depth:
             raise UnknownLabelError(node)
 
+    def _require_all(self, nodes: set[str]) -> None:
+        """Raise UnknownLabelError for the first unknown node in name order, if any."""
+        unknown = nodes.difference(self._depth)
+        if unknown:
+            raise UnknownLabelError(min(unknown))
+
     def parent(self, node: str) -> str | None:
         """Parent name, or None for the root."""
         self._require(node)
@@ -172,19 +180,24 @@ class Taxonomy:
     # -- label sets --------------------------------------------------------
 
     def is_consistent(self, labels: Iterable[str]) -> bool:
-        """True iff every member's ancestors (root excluded) are also members."""
+        """True iff every member's ancestors (root excluded) are also members.
+
+        Raises UnknownLabelError naming the first unknown label in name order.
+        """
         members = set(labels)
-        for label in members:
-            self._require(label)
+        self._require_all(members)
         # Testing each member's parent is enough: induction covers the rest of its chain.
         members.add(self._root)
         return all(self._parent.get(label, self._root) in members for label in members)
 
     def ancestor_closure(self, labels: Iterable[str]) -> set[str]:
-        """Smallest consistent superset: the union of all members' ancestor paths."""
+        """Smallest consistent superset: the union of all members' ancestor paths.
+
+        Raises UnknownLabelError naming the first unknown label in name order.
+        """
         closed = set(labels)
+        self._require_all(closed)
         for label in tuple(closed):
-            self._require(label)
             # A label already in the set gets its chain when the loop reaches it, if not before.
             parent = self._parent.get(label, self._root)
             while parent != self._root and parent not in closed:

@@ -61,6 +61,14 @@ def random_taxonomy(rng: random.Random, n_nodes: int, max_depth: int = 6) -> Tax
     return Taxonomy.from_edges(edges)
 
 
+def shuffled_taxonomy(rng: random.Random, n_nodes: int, max_depth: int = 6) -> Taxonomy:
+    """``random_taxonomy`` with its edges shuffled, so input child order is not name order."""
+    tree = random_taxonomy(rng, n_nodes, max_depth)
+    edges = [(parent, child) for parent in tree.nodes for child in tree.children(parent)]
+    rng.shuffle(edges)
+    return Taxonomy.from_edges(edges)
+
+
 def random_consistent_labels(rng: random.Random, tax: Taxonomy, max_seeds: int = 4) -> set[str]:
     """Non-empty consistent label set: a few random nodes plus their ancestor paths."""
     labels = tax.labels

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import MEDIA_EDGES, TWO_PATH_RENDERED, UNIFORM_GREEDY_RENDERED
 from treedecode import read_jsonl, write_jsonl
 from treedecode.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 GOLD_BY_ID = {
     "d1": ["Business", "Company", "Documentary", "Entertainment", "Movie"],
@@ -94,6 +100,29 @@ def test_linearize_inconsistent_requires_closure(tax_file, tmp_path, capsys):
     assert code == 0
     assert "repaired 1" in err
     assert json.loads(out.splitlines()[0])["sequence"] == TWO_PATH_RENDERED
+
+
+def test_unknown_label_is_named_alike_under_every_hash_seed(tmp_path):
+    # Set iteration order follows PYTHONHASHSEED; the label an error names must not.
+    tax = tmp_path / "two.tsv"
+    tax.write_text("Root\tMusic\nRoot\tFilm\n")
+    corpus = tmp_path / "corpus.jsonl"
+    write_jsonl(corpus, [{"id": "d1", "labels": ["Music", "Sports", "Jazz", "Opera"]}])
+    messages = set()
+    for command in ("linearize", "fit"):
+        for seed in range(5):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+            done = subprocess.run(
+                [sys.executable, "-m", "treedecode.cli", command,
+                 "--taxonomy", str(tax), "--input", str(corpus), "--output", str(tmp_path / "out")],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert done.returncode == 1
+            messages.add((command, done.stderr))
+    assert messages == {
+        ("linearize", "error: document 'd1': unknown label 'Jazz'\n"),
+        ("fit", json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}) + "\n"),
+    }
 
 
 def test_fit_is_deterministic(tax_file, corpus_file, tmp_path, capsys):
@@ -242,6 +271,9 @@ MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment
             {"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Zebra": 1000, "Movie": 1}}},
             id="count-outside-alphabet",
         ),
+        pytest.param(b'{"alphabet": ' + b"[" * 100_000, id="deep-nesting"),
+        pytest.param(b'{"alphabet": [], "counts": {"Root": {"Movie": ' + b"1" * 5000 + b"}}}", id="int-digits"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": 10**400}}}, id="count-huge"),
     ],
 )
 def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file, tmp_path, capsys):
@@ -417,13 +449,19 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("evaluate", {"id": 1, "labels": ["Entertainment"]}, id="evaluate-id-number"),
         pytest.param("linearize", {"id": True, "labels": ["Business"]}, id="corpus-id-bool"),
         pytest.param("delinearize", {"id": ["s1"], "sequence": "Root Business POP"}, id="delinearize-id-list"),
+        pytest.param("decode", "[" * 100_000, id="decode-deep-nesting"),
+        pytest.param("decode", '{"id": "d1", "text": ' + "1" * 5000 + "}", id="decode-int-digits"),
+        pytest.param("evaluate", '{"id": "d1", "labels": ' + "[" * 100_000, id="evaluate-deep-nesting"),
     ],
 )
 def test_malformed_record_is_a_corpus_format_error(
     command, record, tax_file, corpus_file, tmp_path, capsys
 ):
     records = tmp_path / "records.jsonl"
-    write_jsonl(records, [record])
+    if isinstance(record, str):  # a raw line that no JSON encoder would write
+        records.write_text(record + "\n")
+    else:
+        write_jsonl(records, [record])
     if command == "evaluate":
         files = ["--gold", corpus_file, "--predictions", str(records)]
     else:

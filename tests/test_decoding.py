@@ -10,10 +10,13 @@ from conftest import (
     TWO_PATH_SEQUENCE,
     UNIFORM_GREEDY_RENDERED,
     oracle_complete_sequences,
+    oracle_continuations,
+    oracle_prefix_valid,
     oracle_reachable_states,
     oracle_stack_and_used,
     random_consistent_labels,
     random_taxonomy,
+    shuffled_taxonomy,
 )
 from treedecode import (
     EOS,
@@ -116,10 +119,7 @@ def test_vocabulary_tuple_is_in_tie_break_order():
     assert _vocabulary(tax, state_from_prefix(tax, ["Root", "B", "B1", POP])) == ("B2", POP)
     rng = random.Random(43)
     for _ in range(20):
-        tree = random_taxonomy(rng, rng.randint(2, 9))
-        edges = [(parent, child) for parent in tree.nodes for child in tree.children(parent)]
-        rng.shuffle(edges)
-        tax = Taxonomy.from_edges(edges)
+        tax = shuffled_taxonomy(rng, rng.randint(2, 9))
         for witness in oracle_reachable_states(tax).values():
             state = state_from_prefix(tax, witness)
             expected = tuple(sorted(dynamic_vocabulary(tax, state), key=token_sort_key))
@@ -284,6 +284,29 @@ def test_nll_nonnegative_random():
         tax = random_taxonomy(rng, rng.randint(2, 25))
         sequence = linearize(tax, random_consistent_labels(rng, tax))
         assert sequence_nll(tax, RandomScorer(seed), "doc", sequence) >= 0.0
+
+
+def test_nll_and_logprob_match_the_oracle_after_a_pop_to_a_parent_with_children_left():
+    # The oracle rebuilds each step's vocabulary by brute force, so a frame
+    # splice that went wrong after such a POP changes one side only.
+    rng = random.Random(71)
+    returns = 0
+    for case in range(30):
+        tax = shuffled_taxonomy(rng, rng.randint(3, 12), max_depth=rng.randint(1, 3))
+        scorer, text = RandomScorer(case), f"doc {case}"
+        for width in (1, 4):
+            top = constrained_beam_search(tax, scorer, text, width)[0]
+            tokens = [*top.tokens, EOS]
+            assert oracle_prefix_valid(tax, tokens)
+            oracle_nll = 0.0
+            for end in range(1, len(tokens)):
+                vocab = sorted(oracle_continuations(tax, tokens[:end]), key=token_sort_key)
+                log_probs = restricted_log_softmax(scorer.score(text, tokens[:end], vocab), vocab)
+                oracle_nll -= log_probs[tokens[end]]
+                returns += tokens[end - 1] == POP and bool(set(vocab) - {POP, EOS})
+            assert sequence_nll(tax, scorer, text, top.tokens) == -top.logprob
+            assert oracle_nll == pytest.approx(-top.logprob, rel=1e-12, abs=1e-12)
+    assert returns > 0
 
 
 def test_nll_of_the_top_beam_result_is_its_negated_logprob():

@@ -9,8 +9,10 @@ from conftest import (
     TWO_PATH_RENDERED,
     TWO_PATH_SEQUENCE,
     oracle_continuations,
+    oracle_reachable_states,
     random_consistent_labels,
     random_taxonomy,
+    shuffled_taxonomy,
 )
 from treedecode import (
     EOS,
@@ -27,6 +29,8 @@ from treedecode import (
     render_sequence,
     validate_sequence,
 )
+from treedecode.linearizer import _advance, _start_frame
+from treedecode.tokens import token_sort_key
 
 
 def test_two_path_linearization(media_tax):
@@ -155,3 +159,21 @@ def test_deep_chain_round_trip():
     sequence = linearize(tax, names)
     assert sequence == ["root", *names, *[POP] * depth]
     assert delinearize(tax, sequence) == set(names)
+
+
+def test_frame_vocabulary_matches_the_oracle_at_every_reachable_prefix():
+    # A push that left the chosen child in its parent's tuple would offer that
+    # child again once a POP returns to the parent; ``returns`` counts such POPs.
+    rng = random.Random(67)
+    returns = 0
+    for _ in range(30):
+        tax = shuffled_taxonomy(rng, rng.randint(2, 9))
+        for witness in oracle_reachable_states(tax).values():
+            frame = _start_frame(tax)
+            for end in range(1, len(witness) + 1):
+                expected = oracle_continuations(tax, witness[:end])
+                assert frame[0] == tuple(sorted(expected, key=token_sort_key)), witness[:end]
+                returns += witness[end - 1] == POP and bool(expected - {POP, EOS})
+                if end < len(witness):
+                    frame = _advance(tax, frame, frame[0].index(witness[end]))
+    assert returns > 0
