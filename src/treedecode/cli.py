@@ -195,7 +195,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     offenders = []
     for doc in read_documents(args.input):
         labels = doc.labels or frozenset()
-        unknown = sorted(l for l in labels if l not in tax)
+        unknown = sorted(labels.difference(tax._parent))  # the root is not a label
         if unknown:
             offenders.append(f"document {doc.id!r}: unknown labels {unknown}")
             continue

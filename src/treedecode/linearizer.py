@@ -57,11 +57,13 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     Children are visited in taxonomy order, so the output is a canonical
     form: linearize(delinearize(q)) == q for any q this function produced.
     Inconsistent sets are rejected, not silently repaired; apply
-    Taxonomy.ancestor_closure first if leniency is wanted.
+    Taxonomy.ancestor_closure first if leniency is wanted. A label that is
+    unknown or the root raises UnknownLabelError, the first in name order.
     """
     members = set(labels)
     if not members:
         raise EmptyLabelSetError("cannot linearize an empty label set")
+    tax._require_all(members, tax._parent)
     if not tax.is_consistent(members):
         raise InconsistentLabelSetError(
             "label set is not closed under ancestors; apply ancestor_closure first"

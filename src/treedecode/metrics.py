@@ -18,7 +18,7 @@ import json
 from collections.abc import Sequence, Set
 from dataclasses import dataclass
 
-from .errors import AlignmentError, UnknownLabelError
+from .errors import AlignmentError
 from .taxonomy import Taxonomy
 
 
@@ -57,7 +57,9 @@ def confusion_counts(
     """Tally confusion counts over index-aligned gold/predicted label sets.
 
     In constrained mode a predicted label earns tp credit only if it is
-    gold AND all its ancestors are predicted in the same document.
+    gold AND all its ancestors are predicted in the same document. A label
+    that is unknown or the root raises UnknownLabelError, the first in name
+    order.
     """
     if len(gold) != len(pred):
         raise AlignmentError(f"{len(gold)} gold documents vs {len(pred)} predictions")
@@ -65,9 +67,7 @@ def confusion_counts(
     fp = dict(tp)
     fn = dict(tp)
     for gold_doc, pred_doc in zip(gold, pred):
-        for label in gold_doc | pred_doc:
-            if label not in tax or label == tax.root:
-                raise UnknownLabelError(label)
+        tax._require_all(gold_doc | pred_doc, tax._parent)
         credited = {
             label for label in gold_doc & pred_doc
             if not constrained or all(a in pred_doc for a in tax.ancestors(label))

@@ -58,48 +58,31 @@ class Taxonomy:
 
     __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_start")
 
-    def __init__(self, root: str, children: Mapping[str, tuple[str, ...]], nodes: tuple[str, ...]):
+    def __init__(
+        self,
+        root: str,
+        children: dict[str, tuple[str, ...]],
+        nodes: tuple[str, ...],
+        parent: dict[str, str],
+        depth: dict[str, int],
+    ):
         self._root = root
-        self._children = dict(children)
+        self._children = children
         self._nodes = nodes
-        self._parent: dict[str, str] = {}
-        self._depth: dict[str, int] = {root: 0}
-        # BFS assigns depths; the input is already known acyclic here.
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for child in self._children.get(node, ()):
-                    self._parent[child] = node
-                    self._depth[child] = self._depth[node] + 1
-                    nxt.append(child)
-            frontier = nxt
+        self._parent = parent
+        self._depth = depth
         # Every node's start vocabulary, the automaton frame it opens when
         # pushed: its children in the decoder's tie-break order, then POP
         # (``<eos>`` for the root). No decode step has to sort or filter.
         self._start = {
-            n: (*sorted(self._children.get(n, ()), key=token_sort_key), EOS if n == root else POP)
+            n: (*sorted(children.get(n, ()), key=token_sort_key), EOS if n == root else POP)
             for n in nodes
         }
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[str, str]]) -> "Taxonomy":
         """Build and validate from (parent, child) pairs; raises InvalidTaxonomyError."""
-        report = _validate_edges(edges)
-        if not report.ok:
-            raise InvalidTaxonomyError(report)
-        nodes: list[str] = []
-        seen: set[str] = set()
-        children: dict[str, list[str]] = {}
-        for parent, child in edges:
-            for name in (parent, child):
-                if name not in seen:
-                    seen.add(name)
-                    nodes.append(name)
-            children.setdefault(parent, []).append(child)
-        child_names = {c for _, c in edges}
-        roots = [n for n in nodes if n not in child_names]
-        return cls(roots[0], {p: tuple(cs) for p, cs in children.items()}, tuple(nodes))
+        return _build(edges, [])
 
     # -- queries -----------------------------------------------------------
 
@@ -142,11 +125,15 @@ class Taxonomy:
         if node not in self._depth:
             raise UnknownLabelError(node)
 
-    def _require_all(self, nodes: set[str]) -> None:
-        """Raise UnknownLabelError for the first unknown node in name order, if any."""
-        unknown = nodes.difference(self._depth)
+    def _require_all(self, names: set[str], known: Mapping[str, object], context: str = "") -> None:
+        """Raise UnknownLabelError for the first of ``names`` not in ``known``, in name order.
+
+        ``known`` is ``_depth`` to accept every node, or ``_parent`` to accept
+        only labels, which corpora and predictions hold: every node but the root.
+        """
+        unknown = names.difference(known)
         if unknown:
-            raise UnknownLabelError(min(unknown))
+            raise UnknownLabelError(min(unknown), context)
 
     def parent(self, node: str) -> str | None:
         """Parent name, or None for the root."""
@@ -185,7 +172,7 @@ class Taxonomy:
         Raises UnknownLabelError naming the first unknown label in name order.
         """
         members = set(labels)
-        self._require_all(members)
+        self._require_all(members, self._depth)
         # Testing each member's parent is enough: induction covers the rest of its chain.
         members.add(self._root)
         return all(self._parent.get(label, self._root) in members for label in members)
@@ -196,7 +183,7 @@ class Taxonomy:
         Raises UnknownLabelError naming the first unknown label in name order.
         """
         closed = set(labels)
-        self._require_all(closed)
+        self._require_all(closed, self._depth)
         for label in tuple(closed):
             # A label already in the set gets its chain when the loop reaches it, if not before.
             parent = self._parent.get(label, self._root)
@@ -236,19 +223,29 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
     return edges, issues
 
 
-def _validate_edges(edges: Sequence[tuple[str, str]]) -> ValidationReport:
-    issues: list[Issue] = []
-    if not edges:
-        issues.append(Issue("EMPTY", "no edges found"))
-        return ValidationReport(tuple(issues))
+def _index(edges: Sequence[tuple[str, str]], issues: list[Issue]) -> tuple[ValidationReport, tuple | None]:
+    """Validate edges in one pass, after the line issues ``issues`` already found.
 
-    nodes: list[str] = []
-    seen: set[str] = set()
+    Returns the full report and, only when it is empty, the arguments of
+    ``Taxonomy``: root, children in input order, nodes in first-appearance
+    order, parent and depth tables.
+    """
+    if not edges:
+        # Bad lines alone do not also make the file empty.
+        return ValidationReport(tuple(issues) or (Issue("EMPTY", "no edges found"),)), None
+
+    nodes: dict[str, None] = {}  # first-appearance order
+    children: dict[str, list[str]] = {}
+    parents_of: dict[str, set[str]] = {}
+    duplicates: list[Issue] = []
     for parent, child in edges:
-        for name in (parent, child):
-            if name not in seen:
-                seen.add(name)
-                nodes.append(name)
+        nodes[parent] = nodes[child] = None
+        parents = parents_of.setdefault(child, set())
+        if parent in parents:
+            duplicates.append(Issue("DUPLICATE_EDGE", f"duplicate edge {parent!r} -> {child!r}"))
+        else:
+            parents.add(parent)
+            children.setdefault(parent, []).append(child)
 
     for name in nodes:
         if name in RESERVED_TOKENS:
@@ -257,16 +254,8 @@ def _validate_edges(edges: Sequence[tuple[str, str]]) -> ValidationReport:
         # such a name could not be read back from a sequence.
         if any(map(str.isspace, name)):
             issues.append(Issue("WHITESPACE_NAME", f"{name!r} contains whitespace"))
+    issues += duplicates
 
-    seen_edges: set[tuple[str, str]] = set()
-    for edge in edges:
-        if edge in seen_edges:
-            issues.append(Issue("DUPLICATE_EDGE", f"duplicate edge {edge[0]!r} -> {edge[1]!r}"))
-        seen_edges.add(edge)
-
-    parents_of: dict[str, set[str]] = {}
-    for parent, child in seen_edges:
-        parents_of.setdefault(child, set()).add(parent)
     for child, parents in sorted(parents_of.items()):
         if len(parents) > 1:
             issues.append(Issue("MULTIPLE_PARENTS", f"{child!r} has parents {sorted(parents)}"))
@@ -277,34 +266,41 @@ def _validate_edges(edges: Sequence[tuple[str, str]]) -> ValidationReport:
     elif len(roots) > 1:
         issues.append(Issue("MULTIPLE_ROOTS", f"multiple root candidates: {roots}"))
 
-    # Kahn peel: anything left with surviving in-edges sits on a cycle.
-    indegree = {n: len(parents_of.get(n, ())) for n in nodes}
-    children_adj: dict[str, list[str]] = {}
-    for parent, child in seen_edges:
-        children_adj.setdefault(parent, []).append(child)
-    queue = [n for n in nodes if indegree[n] == 0]
-    peeled = 0
+    # Kahn peel from the roots, assigning parents and depths as it goes; a
+    # node never peeled keeps an in-edge from a cycle, so it lies on or below one.
+    indegree = {child: len(parents) for child, parents in parents_of.items()}
+    parent_table: dict[str, str] = {}
+    depth = dict.fromkeys(roots, 0)
+    queue = list(roots)
     while queue:
         node = queue.pop()
-        peeled += 1
-        for child in children_adj.get(node, ()):
+        for child in children.get(node, ()):
             indegree[child] -= 1
             if indegree[child] == 0:
+                parent_table[child] = node
+                depth[child] = depth[node] + 1
                 queue.append(child)
-    if peeled != len(nodes):
-        cyclic = sorted(n for n in nodes if indegree[n] > 0)
+    cyclic = sorted(n for n in nodes if n not in depth)
+    if cyclic:
         issues.append(Issue("CYCLE", f"cycle involving {cyclic}"))
 
-    return ValidationReport(tuple(issues))
+    if issues:
+        return ValidationReport(tuple(issues)), None
+    tree = {parent: tuple(kids) for parent, kids in children.items()}
+    return ValidationReport(), (roots[0], tree, tuple(nodes), parent_table, depth)
+
+
+def _build(edges: Sequence[tuple[str, str]], issues: list[Issue]) -> Taxonomy:
+    """The tree of ``edges``; raises InvalidTaxonomyError with the full report if anything is wrong."""
+    report, parts = _index(edges, issues)
+    if parts is None:
+        raise InvalidTaxonomyError(report)
+    return Taxonomy(*parts)
 
 
 def validate_taxonomy(text: str) -> ValidationReport:
     """Check edge-list text and report every violation found; never raises."""
-    edges, issues = _parse_edge_lines(text)
-    if not edges and not issues:
-        return ValidationReport((Issue("EMPTY", "no edges found"),))
-    structural = _validate_edges(edges) if edges else ValidationReport()
-    return ValidationReport(tuple(issues) + structural.issues)
+    return _index(*_parse_edge_lines(text))[0]
 
 
 def parse_taxonomy(text: str) -> Taxonomy:
@@ -313,11 +309,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
     Raises InvalidTaxonomyError carrying the full ValidationReport if any
     structural rule is violated; a partial taxonomy is never returned.
     """
-    edges, issues = _parse_edge_lines(text)
-    if issues:
-        structural = _validate_edges(edges) if edges else ValidationReport()
-        raise InvalidTaxonomyError(ValidationReport(tuple(issues) + structural.issues))
-    return Taxonomy.from_edges(edges)
+    return _build(*_parse_edge_lines(text))
 
 
 @dataclass(frozen=True)
@@ -342,7 +334,9 @@ def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence["DocumentRecord"
     """Summarize a taxonomy plus per-split document collections.
 
     label_count excludes the root; avg_labels is the mean label-set
-    cardinality over all splits combined (0 for an empty corpus).
+    cardinality over all splits combined (0 for an empty corpus). Raises
+    UnknownLabelError for the first label in name order that is unknown or
+    the root, naming its document.
     """
     total_labels = 0
     total_docs = 0
@@ -350,9 +344,7 @@ def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence["DocumentRecord"
     for split, docs in corpora.items():
         split_sizes[split] = len(docs)
         for doc in docs:
-            for label in doc.labels or ():
-                if label not in tax:
-                    raise UnknownLabelError(label, context=f"document {doc.id!r}")
+            tax._require_all(doc.labels or frozenset(), tax._parent, f"document {doc.id!r}")
             total_labels += len(doc.labels or ())
             total_docs += 1
     avg = total_labels / total_docs if total_docs else 0.0

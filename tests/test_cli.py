@@ -108,20 +108,29 @@ def test_unknown_label_is_named_alike_under_every_hash_seed(tmp_path):
     tax.write_text("Root\tMusic\nRoot\tFilm\n")
     corpus = tmp_path / "corpus.jsonl"
     write_jsonl(corpus, [{"id": "d1", "labels": ["Music", "Sports", "Jazz", "Opera"]}])
+    io = ["--input", str(corpus), "--output", str(tmp_path / "out")]
+    commands = {
+        "linearize": io,
+        "fit": io,
+        "evaluate": ["--gold", str(corpus), "--predictions", str(corpus)],
+        "stats": ["--split", f"train={corpus}"],
+    }
     messages = set()
-    for command in ("linearize", "fit"):
+    for command, args in commands.items():
         for seed in range(5):
             env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
             done = subprocess.run(
-                [sys.executable, "-m", "treedecode.cli", command,
-                 "--taxonomy", str(tax), "--input", str(corpus), "--output", str(tmp_path / "out")],
+                [sys.executable, "-m", "treedecode.cli", command, "--taxonomy", str(tax), *args],
                 env=env, capture_output=True, text=True, timeout=60,
             )
             assert done.returncode == 1
             messages.add((command, done.stderr))
+    unknown = {"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}
     assert messages == {
         ("linearize", "error: document 'd1': unknown label 'Jazz'\n"),
-        ("fit", json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}) + "\n"),
+        ("fit", json.dumps(unknown) + "\n"),
+        ("evaluate", json.dumps(unknown) + "\n"),
+        ("stats", json.dumps({**unknown, "message": "unknown label 'Jazz' (document 'd1')"}) + "\n"),
     }
 
 
@@ -353,6 +362,31 @@ def test_postprocess_unknown_labels(tax_file, tmp_path, capsys):
     code, _, err = run(capsys, "postprocess", "--taxonomy", tax_file, "--input", str(raw))
     assert code == 1
     assert "p9" in err and "Music" in err
+
+
+ROOT_AS_LABEL = json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Root'"}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv,stderr",
+    [
+        (["linearize", "--input", "{corpus}"], "error: document 'd1': unknown label 'Root'\n"),
+        (["linearize", "--input", "{corpus}", "--closure"], "error: document 'd1': unknown label 'Root'\n"),
+        (["fit", "--input", "{corpus}", "--output", "{out}"], ROOT_AS_LABEL),
+        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOT_AS_LABEL),
+        (["postprocess", "--input", "{corpus}"], "error: document 'd1': unknown labels ['Root']\n"),
+        (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOT_AS_LABEL),
+        (["stats", "--split", "train={corpus}"], ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
+    ],
+    ids=["linearize", "linearize-closure", "fit", "decode-oracle", "postprocess", "evaluate", "stats"],
+)
+def test_every_command_rejects_the_root_as_a_label(argv, stderr, tax_file, tmp_path, capsys):
+    corpus = tmp_path / "rooted.jsonl"
+    write_jsonl(corpus, [{"id": "d1", "text": "", "labels": ["Entertainment", "Root"]}])
+    argv = [arg.format(corpus=corpus, out=tmp_path / "out") for arg in argv]
+    code, out, err = run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:])
+    assert (code, out, err) == (1, "", stderr)
+    assert not (tmp_path / "out").exists()
 
 
 def test_evaluate_isolated_fixture(tax_file, tmp_path, capsys):

@@ -28,8 +28,9 @@ CORPUS = [
 ]
 PREDICTIONS = [
     {"id": "d1", "sequence": ["Root", "Entertainment", "POP"], "labels": ["Entertainment"]},
-    {"id": "d2", "labels": ["Business", "Company"], "logprob": -1.5},
-    {"id": "d3", "labels": []},
+    {"id": "d2", "sequence": "Root Business Company POP POP", "labels": ["Business", "Company"],
+     "logprob": -1.5},
+    {"id": "d3", "sequence": "Root", "labels": []},
 ]
 WRONG_TYPES = [None, 0, -1, 1.5, True, "", "x", "Root", "POP", [], ["x"], [7], {}, {"a": 1}]
 HUGE_NUMBERS = [
@@ -144,12 +145,14 @@ def _commands(kind: str, path: str, valid: dict[str, str], out: str) -> list[lis
     evaluate = ["evaluate", *tax, "--gold", files["corpus"], "--predictions", files["predictions"]]
     linearize = ["linearize", *tax, "--input", files["corpus"], "--output", out]
     postprocess = ["postprocess", *tax, "--input", files["predictions"], "--output", out]
+    delinearize = ["delinearize", *tax, "--input", files["predictions"], "--output", out]
+    stats = ["stats", *tax, "--split", f"train={files['corpus']}"]
     return {
         "taxonomy": [["validate", *tax], ["fit", *tax, "--input", files["corpus"], "--output", out],
-                     decode, evaluate, linearize, postprocess],
+                     decode, evaluate, linearize, postprocess, delinearize, stats],
         "corpus": [["fit", *tax, "--input", files["corpus"], "--output", out], decode, evaluate,
-                   linearize],
-        "predictions": [evaluate, postprocess],
+                   linearize, stats],
+        "predictions": [evaluate, postprocess, delinearize],
         "model": [[*decode, "--scorer", "bigram", "--model", files["model"]]],
     }[kind]
 

@@ -56,6 +56,10 @@ def test_linearize_rejects_bad_inputs(media_tax):
         linearize(media_tax, set())
     with pytest.raises(UnknownLabelError):
         linearize(media_tax, {"Music"})
+    # The root opens every sequence but is never a label: {Root, A} would
+    # break len(tokens) == 2*|labels| + 1 and delinearize to {A}.
+    with pytest.raises(UnknownLabelError, match="'Root'"):
+        linearize(media_tax, {"Root", "Entertainment"})
 
 
 def test_delinearize_two_path(media_tax):

@@ -68,6 +68,46 @@ def test_validation_issue_codes(text, code):
     assert code in report.codes()
 
 
+def _issues(*pairs: tuple[str, str]) -> dict:
+    return {"ok": False, "issues": [{"code": code, "message": message} for code, message in pairs]}
+
+
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        (  # every structural rule but NO_ROOT at once; D hangs below the B-C cycle
+            "Root\tA\nRoot\tA\nRoot\tPOP\nA\tmy label\nB\tC\nC\tB\nC\tD\nX\tA\n",
+            _issues(
+                ("RESERVED_NAME", "'POP' is a reserved token name"),
+                ("WHITESPACE_NAME", "'my label' contains whitespace"),
+                ("DUPLICATE_EDGE", "duplicate edge 'Root' -> 'A'"),
+                ("MULTIPLE_PARENTS", "'A' has parents ['Root', 'X']"),
+                ("MULTIPLE_ROOTS", "multiple root candidates: ['Root', 'X']"),
+                ("CYCLE", "cycle involving ['B', 'C', 'D']"),
+            ),
+        ),
+        (  # bad lines come first, then the structure of the good ones
+            "# comment\nRoot\tA\nRoot A no tab\nA\tB\tC\nRoot\t\nB\tA\nRoot\tA\n",
+            _issues(
+                ("EMPTY", "line 3: expected parent<TAB>child, got 1 fields"),
+                ("EMPTY", "line 4: expected parent<TAB>child, got 3 fields"),
+                ("EMPTY", "line 5: expected parent<TAB>child, got 1 fields"),
+                ("DUPLICATE_EDGE", "duplicate edge 'Root' -> 'A'"),
+                ("MULTIPLE_PARENTS", "'A' has parents ['B', 'Root']"),
+                ("MULTIPLE_ROOTS", "multiple root candidates: ['Root', 'B']"),
+            ),
+        ),
+        ("", _issues(("EMPTY", "no edges found"))),
+    ],
+    ids=["structural", "lines-and-structural", "empty"],
+)
+def test_full_validation_report(text, expected):
+    assert validate_taxonomy(text).to_dict() == expected
+    with pytest.raises(InvalidTaxonomyError) as caught:
+        parse_taxonomy(text)
+    assert caught.value.report.to_dict() == expected
+
+
 def test_never_a_partial_taxonomy():
     err = None
     try:
