@@ -60,9 +60,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _gold_labels(doc: DocumentRecord) -> frozenset[str]:
+def _labels(doc: DocumentRecord) -> frozenset[str]:
+    """A record's labels, which must be present (``[]`` is an empty set)."""
     if doc.labels is None:
-        raise TreeDecodeError(f"document {doc.id!r} has no labels")
+        raise CorpusFormatError(f"document {doc.id!r} has no labels")
     return doc.labels
 
 
@@ -73,7 +74,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     problems = []
     repaired = 0
     for doc in documents:
-        labels = _gold_labels(doc)
+        labels = _labels(doc)
         try:
             closed = tax.ancestor_closure(labels) if args.closure else labels
             repaired += len(closed) > len(labels)
@@ -116,7 +117,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     documents = read_documents(args.input)
     scorer = fit_bigram_scorer(
-        tax, ((doc.text, _gold_labels(doc)) for doc in documents), closure=args.closure
+        tax, ((doc.text, _labels(doc)) for doc in documents), closure=args.closure
     )
     scorer.save(args.output)
     if scorer.repaired_docs:
@@ -141,7 +142,7 @@ def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
                 f"model {only_model[:5]}, only in the taxonomy {only_taxonomy[:5]})"
             )
         return lambda doc: loaded
-    return lambda doc: OracleScorer(linearize(tax, set(_gold_labels(doc))))
+    return lambda doc: OracleScorer(linearize(tax, set(_labels(doc))))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -194,7 +195,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     rows = []
     offenders = []
     for doc in read_documents(args.input):
-        labels = doc.labels or frozenset()
+        labels = _labels(doc)
         unknown = sorted(labels.difference(tax._parent))  # the root is not a label
         if unknown:
             offenders.append(f"document {doc.id!r}: unknown labels {unknown}")
@@ -211,7 +212,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     gold_docs = read_documents(args.gold)
-    predictions = {doc.id: set(doc.labels or ()) for doc in read_documents(args.predictions)}
+    predictions = {doc.id: set(_labels(doc)) for doc in read_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))
@@ -219,7 +220,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise AlignmentError(
             f"ids without predictions: {missing or 'none'}; predictions without gold: {extra or 'none'}"
         )
-    gold_sets = [set(_gold_labels(doc)) for doc in gold_docs]
+    gold_sets = [set(_labels(doc)) for doc in gold_docs]
     pred_sets = [predictions[doc_id] for doc_id in gold_ids]
     report = metrics.evaluate(tax, gold_sets, pred_sets)
     print(report.format_table())
@@ -235,8 +236,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
     corpora = {}
     for entry in args.split or []:
         name, _, path = entry.partition("=")
-        if not path:
-            raise TreeDecodeError(f"--split wants NAME=PATH, got {entry!r}")
+        if not name or not path or name in corpora:
+            raise TreeDecodeError(f"--split wants NAME=PATH with a new, non-empty NAME, got {entry!r}")
         corpora[name] = read_documents(path)
     print(json.dumps(dataset_stats(tax, corpora).to_dict(), indent=2))
     return 0

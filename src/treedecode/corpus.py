@@ -4,7 +4,7 @@ A corpus record is ``{"id": ..., "text": ..., "labels": [...]}``; text
 may be empty or absent and labels may be absent for decode-only input.
 Ids must be strings, unique within a file, text a string and labels,
 when present, a JSON list of strings. Prediction files use the same record
-shape (text is ignored).
+shape, with labels required and text ignored.
 """
 
 from __future__ import annotations
@@ -22,12 +22,6 @@ class DocumentRecord:
     id: str
     text: str = ""
     labels: frozenset[str] | None = None
-
-    def to_dict(self) -> dict:
-        row: dict = {"id": self.id, "text": self.text}
-        if self.labels is not None:
-            row["labels"] = sorted(self.labels)
-        return row
 
 
 def read_jsonl(path: str | Path) -> list[dict]:

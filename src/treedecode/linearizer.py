@@ -139,17 +139,16 @@ def _labels(tax: Taxonomy, tokens: Iterable[str]) -> set[str]:
     return set(tokens).difference((POP, EOS, tax.root))
 
 
-def validate_sequence(tax: Taxonomy, tokens: Sequence[str], *, complete: bool = True) -> SequenceReport:
-    """Replay tokens through the stack automaton and report the first violation.
+def validate_sequence(tax: Taxonomy, tokens: Sequence[str]) -> SequenceReport:
+    """Replay a stored-form sequence through the stack automaton and report the first violation.
 
-    With ``complete=True`` (the stored-sequence form) the stack must also
-    return to the root by the end; ``complete=False`` accepts any valid
-    prefix, which is what decoder hypotheses are.
+    The stack must return to the root by the end (``UNCLOSED`` otherwise);
+    check a decoder prefix with ``decoding.state_from_prefix`` instead.
     """
     stack, position, code = _replay(tax, tokens)
     if code is not None:
         return SequenceReport(False, position, code)
-    if complete and len(stack) != 1:
+    if len(stack) != 1:
         return SequenceReport(False, position, UNCLOSED)
     return SequenceReport(True)
 

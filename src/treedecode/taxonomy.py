@@ -145,10 +145,6 @@ class Taxonomy:
         self._require(node)
         return self._children.get(node, ())
 
-    def is_leaf(self, node: str) -> bool:
-        self._require(node)
-        return not self._children.get(node)
-
     def depth(self, node: str) -> int:
         """Edge distance from the root (root = 0)."""
         self._require(node)
@@ -216,8 +212,6 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
         fields = [f.strip() for f in line.split("\t")]
         if len(fields) != 2:
             issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got {len(fields)} fields"))
-        elif not fields[0] or not fields[1]:
-            issues.append(Issue("EMPTY", f"line {lineno}: empty label name"))
         else:
             edges.append((fields[0], fields[1]))
     return edges, issues

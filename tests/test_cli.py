@@ -389,6 +389,25 @@ def test_every_command_rejects_the_root_as_a_label(argv, stderr, tax_file, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["evaluate", "--gold", "{gold}", "--predictions", "{pred}"], '"micro_f1": 0.0,'),
+        (["postprocess", "--input", "{pred}"], '{"id": "d1", "labels": []}\n'),
+    ],
+    ids=["evaluate", "postprocess"],
+)
+def test_explicit_empty_prediction_is_valid(argv, expected, tax_file, tmp_path, capsys):
+    # Unlike a record without "labels", which is a CORPUS_FORMAT error.
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    write_jsonl(gold, [{"id": "d1", "labels": ["Entertainment"]}])
+    write_jsonl(pred, [{"id": "d1", "labels": []}])
+    argv = [arg.format(gold=gold, pred=pred) for arg in argv]
+    code, out, _ = run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:])
+    assert code == 0
+    assert expected in out
+
+
 def test_evaluate_isolated_fixture(tax_file, tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     write_jsonl(gold, [{"id": "d1", "text": "", "labels": GOLD_BY_ID["d1"]}])
@@ -486,6 +505,9 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("decode", "[" * 100_000, id="decode-deep-nesting"),
         pytest.param("decode", '{"id": "d1", "text": ' + "1" * 5000 + "}", id="decode-int-digits"),
         pytest.param("evaluate", '{"id": "d1", "labels": ' + "[" * 100_000, id="evaluate-deep-nesting"),
+        pytest.param("evaluate", {"id": "d1"}, id="evaluate-prediction-without-labels"),
+        pytest.param("postprocess", {"id": "p1"}, id="postprocess-without-labels"),
+        pytest.param("linearize", {"id": "d1", "text": ""}, id="corpus-without-labels"),
     ],
 )
 def test_malformed_record_is_a_corpus_format_error(
@@ -573,6 +595,20 @@ def test_stats_bad_split_argument(tax_file, capsys):
     code, _, err = run(capsys, "stats", "--taxonomy", tax_file, "--split", "train")
     assert code == 1
     assert "NAME=PATH" in err
+
+
+@pytest.mark.parametrize(
+    "splits", [["train={corpus}", "train={one}"], ["={corpus}"]], ids=["repeated-name", "empty-name"]
+)
+def test_stats_rejects_a_repeated_or_empty_split_name(splits, tax_file, corpus_file, tmp_path, capsys):
+    one = tmp_path / "one.jsonl"
+    write_jsonl(one, [{"id": "x", "labels": ["Business"]}])
+    argv = []
+    for split in splits:
+        argv += ["--split", split.format(corpus=corpus_file, one=one)]
+    code, out, err = run(capsys, "stats", "--taxonomy", tax_file, *argv)
+    assert (code, out) == (1, "")
+    assert json.loads(err)["message"].startswith("--split wants NAME=PATH")
 
 
 def test_linearize_delinearize_round_trip_500_docs(tmp_path, capsys):

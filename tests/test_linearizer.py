@@ -27,6 +27,7 @@ from treedecode import (
     linearize,
     parse_sequence,
     render_sequence,
+    state_from_prefix,
     validate_sequence,
 )
 from treedecode.linearizer import _advance, _start_frame
@@ -117,8 +118,15 @@ def test_first_violation_matches_brute_force_oracle():
             ),
             None,
         )
-        report = validate_sequence(tax, tokens, complete=False)
-        assert (report.ok, report.position) == (expected is None, expected), tokens
+        if expected is None:
+            state_from_prefix(tax, tokens)
+            continue
+        with pytest.raises(InvalidSequenceError) as caught:
+            state_from_prefix(tax, tokens)
+        assert caught.value.position == expected, tokens
+        # The stored-form check meets the same violation first.
+        report = validate_sequence(tax, tokens)
+        assert (report.position, report.code) == (expected, caught.value.issue), tokens
 
 
 def test_validate_sequence_accepts_two_path(media_tax):
@@ -126,8 +134,10 @@ def test_validate_sequence_accepts_two_path(media_tax):
 
 
 def test_validate_prefix_mode(media_tax):
-    assert validate_sequence(media_tax, ["Root", "Entertainment"], complete=False).ok
-    assert not validate_sequence(media_tax, ["Root", "Entertainment"]).ok
+    # A valid prefix replays to a state; as a stored sequence it is unclosed.
+    assert state_from_prefix(media_tax, ["Root", "Entertainment"]).stack == ("Root", "Entertainment")
+    report = validate_sequence(media_tax, ["Root", "Entertainment"])
+    assert (report.ok, report.position, report.code) == (False, 2, "UNCLOSED")
 
 
 def test_non_canonical_sibling_order_is_still_valid(media_tax):

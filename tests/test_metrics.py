@@ -76,6 +76,16 @@ def _random_prediction(rng, tax):
     return set(rng.sample(tax.labels, k=k))
 
 
+def test_inconsistent_prediction_can_score_equally(media_tax):
+    # Equality of the variants does not imply consistency: the orphan
+    # Documentary is not gold, so the path rule denies no credit.
+    gold, pred = [{"Business"}], [{"Business", "Documentary"}]
+    report = evaluate(media_tax, gold, pred)
+    assert report.inconsistent_docs == 1
+    assert report.c_micro_f1 == report.micro_f1 == pytest.approx(2 / 3)
+    assert report.c_macro_f1 == report.macro_f1 == pytest.approx(1 / 6)
+
+
 def test_dominance_on_random_matrices():
     rng = random.Random(67)
     for _ in range(60):

@@ -98,8 +98,15 @@ def _issues(*pairs: tuple[str, str]) -> dict:
             ),
         ),
         ("", _issues(("EMPTY", "no edges found"))),
+        (  # the line is stripped before the split, so a blank field leaves one field
+            "Root\tA\n\tB\nC\t \n",
+            _issues(
+                ("EMPTY", "line 2: expected parent<TAB>child, got 1 fields"),
+                ("EMPTY", "line 3: expected parent<TAB>child, got 1 fields"),
+            ),
+        ),
     ],
-    ids=["structural", "lines-and-structural", "empty"],
+    ids=["structural", "lines-and-structural", "empty", "blank-fields"],
 )
 def test_full_validation_report(text, expected):
     assert validate_taxonomy(text).to_dict() == expected
