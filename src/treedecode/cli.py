@@ -1,19 +1,20 @@
 """Command-line surface: validate, linearize, fit, decode, postprocess, evaluate, stats.
 
 Exit codes: 0 success, 1 domain error (invalid taxonomy, inconsistent
-labels, alignment problems, ...), 2 I/O or usage error.
+labels, alignment problems, ...), 2 I/O or usage error. ``main(argv)`` may
+be called repeatedly in one process; it builds its parser once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import decoding, metrics, taxonomy
-from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, write_jsonl
+from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, required_labels, write_jsonl
 from .errors import (
     AlignmentError,
     CorpusFormatError,
@@ -60,13 +61,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _labels(doc: DocumentRecord) -> frozenset[str]:
-    """A record's labels, which must be present (``[]`` is an empty set)."""
-    if doc.labels is None:
-        raise CorpusFormatError(f"document {doc.id!r} has no labels")
-    return doc.labels
-
-
 def cmd_linearize(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     documents = read_documents(args.input)
@@ -74,7 +68,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     problems = []
     repaired = 0
     for doc in documents:
-        labels = _labels(doc)
+        labels = required_labels(doc)
         try:
             closed = tax.ancestor_closure(labels) if args.closure else labels
             repaired += len(closed) > len(labels)
@@ -117,7 +111,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     documents = read_documents(args.input)
     scorer = fit_bigram_scorer(
-        tax, ((doc.text, _labels(doc)) for doc in documents), closure=args.closure
+        tax, ((doc.text, required_labels(doc)) for doc in documents), closure=args.closure
     )
     scorer.save(args.output)
     if scorer.repaired_docs:
@@ -142,7 +136,7 @@ def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
                 f"model {only_model[:5]}, only in the taxonomy {only_taxonomy[:5]})"
             )
         return lambda doc: loaded
-    return lambda doc: OracleScorer(linearize(tax, set(_labels(doc))))
+    return lambda doc: OracleScorer(linearize(tax, set(required_labels(doc))))
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
@@ -164,6 +158,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     if args.workers > 1:
         # Threads keep scorers shared and executor.map preserves input order,
         # so output is identical to the serial run.
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(decode_one, documents))
     else:
@@ -195,7 +190,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     rows = []
     offenders = []
     for doc in read_documents(args.input):
-        labels = _labels(doc)
+        labels = required_labels(doc)
         unknown = sorted(labels.difference(tax._parent))  # the root is not a label
         if unknown:
             offenders.append(f"document {doc.id!r}: unknown labels {unknown}")
@@ -212,7 +207,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     gold_docs = read_documents(args.gold)
-    predictions = {doc.id: set(_labels(doc)) for doc in read_documents(args.predictions)}
+    predictions = {doc.id: set(required_labels(doc)) for doc in read_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))
@@ -220,7 +215,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise AlignmentError(
             f"ids without predictions: {missing or 'none'}; predictions without gold: {extra or 'none'}"
         )
-    gold_sets = [set(_labels(doc)) for doc in gold_docs]
+    gold_sets = [set(required_labels(doc)) for doc in gold_docs]
     pred_sets = [predictions[doc_id] for doc_id in gold_ids]
     report = metrics.evaluate(tax, gold_sets, pred_sets)
     print(report.format_table())
@@ -306,9 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser main uses, built on first use and kept: parsing never mutates it.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except TreeDecodeError as err:

@@ -58,6 +58,13 @@ def record_id(path: str | Path, index: int, row: dict) -> str:
     return row["id"]
 
 
+def required_labels(doc: DocumentRecord) -> frozenset[str]:
+    """A record's labels, which must be present (``[]`` is an empty set)."""
+    if doc.labels is None:
+        raise CorpusFormatError(f"document {doc.id!r} has no labels")
+    return doc.labels
+
+
 def read_documents(path: str | Path) -> list[DocumentRecord]:
     """Load corpus or prediction records: unique ids, string text, labels a list of strings."""
     documents = []

@@ -13,13 +13,10 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
+from .corpus import DocumentRecord, required_labels
 from .errors import InvalidTaxonomyError, UnknownLabelError
 from .tokens import EOS, POP, RESERVED_TOKENS, token_sort_key
-
-if TYPE_CHECKING:
-    from .corpus import DocumentRecord
 
 
 @dataclass(frozen=True)
@@ -324,13 +321,14 @@ class DatasetStats:
         }
 
 
-def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence["DocumentRecord"]]) -> DatasetStats:
+def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence[DocumentRecord]]) -> DatasetStats:
     """Summarize a taxonomy plus per-split document collections.
 
     label_count excludes the root; avg_labels is the mean label-set
     cardinality over all splits combined (0 for an empty corpus). Raises
-    UnknownLabelError for the first label in name order that is unknown or
-    the root, naming its document.
+    CorpusFormatError for a document without labels (``[]`` counts as 0)
+    and UnknownLabelError for the first label in name order that is unknown
+    or the root, naming its document.
     """
     total_labels = 0
     total_docs = 0
@@ -338,8 +336,9 @@ def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence["DocumentRecord"
     for split, docs in corpora.items():
         split_sizes[split] = len(docs)
         for doc in docs:
-            tax._require_all(doc.labels or frozenset(), tax._parent, f"document {doc.id!r}")
-            total_labels += len(doc.labels or ())
+            labels = required_labels(doc)
+            tax._require_all(labels, tax._parent, f"document {doc.id!r}")
+            total_labels += len(labels)
             total_docs += 1
     avg = total_labels / total_docs if total_docs else 0.0
     return DatasetStats(

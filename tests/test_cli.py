@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MEDIA_EDGES, TWO_PATH_RENDERED, UNIFORM_GREEDY_RENDERED
-from treedecode import read_jsonl, write_jsonl
+from treedecode import cli, read_jsonl, write_jsonl
 from treedecode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -394,8 +394,9 @@ def test_every_command_rejects_the_root_as_a_label(argv, stderr, tax_file, tmp_p
     [
         (["evaluate", "--gold", "{gold}", "--predictions", "{pred}"], '"micro_f1": 0.0,'),
         (["postprocess", "--input", "{pred}"], '{"id": "d1", "labels": []}\n'),
+        (["stats", "--split", "gold={gold}", "--split", "pred={pred}"], '"avg_labels": 0.5,'),
     ],
-    ids=["evaluate", "postprocess"],
+    ids=["evaluate", "postprocess", "stats"],
 )
 def test_explicit_empty_prediction_is_valid(argv, expected, tax_file, tmp_path, capsys):
     # Unlike a record without "labels", which is a CORPUS_FORMAT error.
@@ -508,6 +509,9 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("evaluate", {"id": "d1"}, id="evaluate-prediction-without-labels"),
         pytest.param("postprocess", {"id": "p1"}, id="postprocess-without-labels"),
         pytest.param("linearize", {"id": "d1", "text": ""}, id="corpus-without-labels"),
+        pytest.param(
+            "stats", '{"id": "a", "labels": ["Business"]}\n{"id": "b"}', id="stats-without-labels"
+        ),
     ],
 )
 def test_malformed_record_is_a_corpus_format_error(
@@ -520,6 +524,8 @@ def test_malformed_record_is_a_corpus_format_error(
         write_jsonl(records, [record])
     if command == "evaluate":
         files = ["--gold", corpus_file, "--predictions", str(records)]
+    elif command == "stats":
+        files = ["--split", f"train={records}"]
     else:
         files = ["--input", str(records)]
     code, out, err = run(capsys, command, "--taxonomy", tax_file, *files)
@@ -639,3 +645,57 @@ def test_linearize_delinearize_round_trip_500_docs(tmp_path, capsys):
     capsys.readouterr()
     original = [{"id": r["id"], "labels": r["labels"]} for r in read_jsonl(corpus)]
     assert read_jsonl(labels_back) == original
+
+
+def test_repeated_main_calls_match_fresh_processes(tax_file, corpus_file, tmp_path, capsys, monkeypatch):
+    # main keeps one parser for the process; no call may see what an earlier one parsed.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines at the terminal width
+    inconsistent = tmp_path / "inconsistent.jsonl"
+    write_jsonl(inconsistent, [{"id": "d1", "labels": ["Documentary"]}])
+    decode = ["decode", "--taxonomy", tax_file, "--input", corpus_file]
+    calls = [
+        [*decode, "--beam", "0"],
+        ["stats", "--taxonomy", tax_file, "--split", f"a={corpus_file}"],
+        ["stats", "--taxonomy", tax_file, "--split", f"b={inconsistent}"],
+        ["linearize", "--taxonomy", tax_file, "--input", str(inconsistent), "--closure"],
+        ["linearize", "--taxonomy", tax_file, "--input", str(inconsistent)],
+        [*decode, "--output", "{out}", "--beam", "1", "--mode", "unconstrained"],
+        [*decode, "--output", "{out}"],
+    ]
+
+    def outcome(code, out, err, path):
+        return code, out, err, path.read_bytes() if path.exists() else None
+
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), COLUMNS="80")
+    alone, together = [], []
+    for index, argv in enumerate(calls):
+        path = tmp_path / f"alone-{index}.jsonl"
+        done = subprocess.run(
+            [sys.executable, "-m", "treedecode.cli", *(arg.format(out=path) for arg in argv)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        alone.append(outcome(done.returncode, done.stdout, done.stderr, path))
+    for index, argv in enumerate(calls):
+        path = tmp_path / f"together-{index}.jsonl"
+        try:
+            code = main([arg.format(out=path) for arg in argv])
+        except SystemExit as exit_:
+            code = exit_.code
+        captured = capsys.readouterr()
+        together.append(outcome(code, captured.out, captured.err, path))
+    assert together == alone
+    assert [result[0] for result in together] == [2, 0, 0, 0, 1, 0, 0]
+    assert '"b": 1' in together[2][1] and '"a"' not in together[2][1]
+    assert "not closed under ancestors" in together[4][2]  # INCONSISTENT_LABELSET
+
+
+def test_main_builds_its_parser_once(tax_file, capsys):
+    cli._parser.cache_clear()
+    for _ in range(3):
+        assert main(["validate", "--taxonomy", tax_file]) == 0
+    with pytest.raises(SystemExit):
+        main(["decode", "--taxonomy", tax_file, "--input", tax_file, "--beam", "0"])
+    capsys.readouterr()
+    assert cli._parser.cache_info().misses == 1
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
