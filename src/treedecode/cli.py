@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import decoding, metrics, taxonomy
-from .corpus import DocumentRecord, read_documents, read_jsonl, record_id, required_labels, write_jsonl
+from .corpus import read_documents, records_with_ids, required_labels, write_jsonl
 from .errors import (
     AlignmentError,
     CorpusFormatError,
@@ -99,8 +99,7 @@ def _sequence_tokens(path: str, index: int, record: dict) -> list[str]:
 def cmd_delinearize(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     rows = []
-    for index, record in enumerate(read_jsonl(args.input), start=1):
-        doc_id = record_id(args.input, index, record)
+    for index, doc_id, record in records_with_ids(args.input):
         tokens = _sequence_tokens(args.input, index, record)
         rows.append({"id": doc_id, "labels": sorted(delinearize(tax, tokens))})
     _write_rows(args.output, rows)
@@ -119,10 +118,12 @@ def cmd_fit(args: argparse.Namespace) -> int:
     return 0
 
 
-def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
+def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
+    """The scorer every document shares, or None for the oracle, which is built per document."""
+    if args.model is not None and args.scorer != "bigram":
+        raise TreeDecodeError(f"--model is only read by --scorer bigram, not --scorer {args.scorer}")
     if args.scorer == "uniform":
-        shared = UniformScorer()
-        return lambda doc: shared
+        return UniformScorer()
     if args.scorer == "bigram":
         if args.model is None:
             raise TreeDecodeError("--scorer bigram requires --model")
@@ -135,45 +136,29 @@ def _scorer_factory(args: argparse.Namespace, tax: Taxonomy):
                 f"{args.model} does not fit this taxonomy: its alphabet differs (only in the "
                 f"model {only_model[:5]}, only in the taxonomy {only_taxonomy[:5]})"
             )
-        return lambda doc: loaded
-    return lambda doc: OracleScorer(linearize(tax, set(required_labels(doc))))
+        return loaded
+    return None
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     documents = read_documents(args.input)
-    make_scorer = _scorer_factory(args, tax)
-
-    def decode_one(doc: DocumentRecord):
-        scorer = make_scorer(doc)
+    shared = _shared_scorer(args, tax)
+    rows = []
+    overflowed = []
+    inconsistent = 0
+    for doc in documents:
+        scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
         try:
             if args.mode == "constrained":
                 result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
             else:
                 result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
         except DecodeOverflowError:
-            return doc.id, None
-        return doc.id, result
-
-    if args.workers > 1:
-        # Threads keep scorers shared and executor.map preserves input order,
-        # so output is identical to the serial run.
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            outcomes = list(pool.map(decode_one, documents))
-    else:
-        outcomes = [decode_one(doc) for doc in documents]
-
-    rows = []
-    overflowed = []
-    inconsistent = 0
-    for doc_id, result in outcomes:
-        if result is None:
-            overflowed.append(doc_id)
+            overflowed.append(doc.id)
             continue
-        if not tax.is_consistent(result.labels):
-            inconsistent += 1
-        rows.append(result.to_dict(doc_id))
+        inconsistent += not tax.is_consistent(result.labels)
+        rows.append(result.to_dict(doc.id))
     _write_rows(args.output, rows)
     summary = {
         "documents": len(documents),
@@ -282,8 +267,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--scorer", choices=["uniform", "oracle", "bigram"], default="uniform")
     sub.add_argument("--model", help="bigram model file (with --scorer bigram)")
     sub.add_argument(
-        "--workers", type=_positive_int, default=1,
-        help="parallel decoder threads (default 1); output order is preserved",
+        "--workers", type=int, choices=[1], default=1,
+        help="only 1: decoding is serial; kept so that existing command lines still parse",
     )
 
     sub = add("postprocess", cmd_postprocess, "apply ancestor closure to predicted label sets")

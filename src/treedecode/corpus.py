@@ -10,7 +10,7 @@ shape, with labels required and text ignored.
 from __future__ import annotations
 
 import json
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,13 +49,19 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
             handle.write(json.dumps(row) + "\n")
 
 
-def record_id(path: str | Path, index: int, row: dict) -> str:
-    """The id of the ``index``-th record (from 1); a missing or non-string id is an error."""
-    if "id" not in row:
-        raise CorpusFormatError(f"{path}: record {index} has no id")
-    if not isinstance(row["id"], str):
-        raise CorpusFormatError(f"{path}: record {index} has id {row['id']!r:.60}, not a string")
-    return row["id"]
+def records_with_ids(path: str | Path) -> Iterator[tuple[int, str, dict]]:
+    """Yield (number from 1, id, record) per record; each id a string, unique in the file."""
+    seen: set[str] = set()
+    for index, row in enumerate(read_jsonl(path), start=1):
+        if "id" not in row:
+            raise CorpusFormatError(f"{path}: record {index} has no id")
+        doc_id = row["id"]
+        if not isinstance(doc_id, str):
+            raise CorpusFormatError(f"{path}: record {index} has id {doc_id!r:.60}, not a string")
+        if doc_id in seen:
+            raise CorpusFormatError(f"{path}: record {index} has duplicate id {doc_id!r}")
+        seen.add(doc_id)
+        yield index, doc_id, row
 
 
 def required_labels(doc: DocumentRecord) -> frozenset[str]:
@@ -68,12 +74,7 @@ def required_labels(doc: DocumentRecord) -> frozenset[str]:
 def read_documents(path: str | Path) -> list[DocumentRecord]:
     """Load corpus or prediction records: unique ids, string text, labels a list of strings."""
     documents = []
-    seen: set[str] = set()
-    for index, row in enumerate(read_jsonl(path), start=1):
-        doc_id = record_id(path, index, row)
-        if doc_id in seen:
-            raise CorpusFormatError(f"{path}: record {index} has duplicate id {doc_id!r}")
-        seen.add(doc_id)
+    for index, doc_id, row in records_with_ids(path):
         text = row.get("text", "")
         if not isinstance(text, str):
             raise CorpusFormatError(

@@ -18,7 +18,7 @@ RESERVED_TOKENS = frozenset({POP, EOS, BOS})
 
 
 def token_sort_key(token: str) -> tuple[int, str]:
-    """Deterministic tie-break order: labels lexicographically, then POP/<eos>."""
+    """Deterministic tie-break order: labels lexicographically, then <eos>, then POP."""
     return (1, token) if token in RESERVED_TOKENS else (0, token)
 
 

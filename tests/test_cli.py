@@ -207,14 +207,22 @@ def test_decode_uniform_golden(tax_file, corpus_file, tmp_path, capsys):
         assert row["sequence"] == UNIFORM_GREEDY_RENDERED.split()
 
 
-def test_decode_workers_preserve_order(tax_file, corpus_file, tmp_path, capsys):
-    serial = tmp_path / "serial.jsonl"
-    parallel = tmp_path / "parallel.jsonl"
-    run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
-        "--output", str(serial), "--scorer", "oracle")
-    run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
-        "--output", str(parallel), "--scorer", "oracle", "--workers", "4")
-    assert serial.read_bytes() == parallel.read_bytes()
+def test_decode_workers_accepts_only_one(tax_file, corpus_file, tmp_path, capsys):
+    # --workers is kept only so that existing command lines parse: 1 changes nothing.
+    plain, explicit = tmp_path / "plain.jsonl", tmp_path / "explicit.jsonl"
+    decode = ["decode", "--taxonomy", tax_file, "--input", corpus_file, "--scorer", "oracle"]
+    assert run(capsys, *decode, "--output", str(plain))[0] == 0
+    assert run(capsys, *decode, "--output", str(explicit), "--workers", "1")[0] == 0
+    assert plain.read_bytes() == explicit.read_bytes()
+
+
+def test_decode_rejects_more_workers(tax_file, corpus_file, tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["decode", "--taxonomy", tax_file, "--input", corpus_file,
+              "--output", str(tmp_path / "pred.jsonl"), "--workers", "2"])
+    assert excinfo.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not (tmp_path / "pred.jsonl").exists()
 
 
 def test_decode_bigram_pipeline(tax_file, corpus_file, tmp_path, capsys):
@@ -236,6 +244,19 @@ def test_decode_bigram_requires_model(tax_file, corpus_file, capsys):
     )
     assert code == 1
     assert "--model" in err
+
+
+@pytest.mark.parametrize("scorer", ["uniform", "oracle"])
+def test_decode_rejects_a_model_the_scorer_does_not_read(scorer, tax_file, corpus_file, tmp_path, capsys):
+    # The model file is never opened: --model beside another scorer is a mistake, not a no-op.
+    predictions = tmp_path / "pred.jsonl"
+    code, out, err = run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
+                         "--output", str(predictions), "--scorer", scorer,
+                         "--model", str(tmp_path / "missing.json"))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "ERROR" and "--model" in error["message"]
+    assert not predictions.exists()
 
 
 def test_decode_bigram_rejects_a_model_of_another_taxonomy(tmp_path, capsys):
@@ -318,6 +339,30 @@ def test_decode_unconstrained_reports_inconsistent(tax_file, corpus_file, tmp_pa
     )
     assert code == 0
     assert json.loads(err.splitlines()[-1])["inconsistent"] == 3
+
+
+@pytest.mark.parametrize(
+    "options, summary",
+    [
+        pytest.param(
+            ["--scorer", "oracle"],
+            '{"documents": 5, "decoded": 5, "inconsistent": 0, "overflow": []}',
+            id="oracle-constrained",
+        ),
+        pytest.param(
+            ["--scorer", "uniform", "--mode", "unconstrained"],
+            '{"documents": 5, "decoded": 5, "inconsistent": 5, "overflow": []}',
+            id="uniform-unconstrained",
+        ),
+    ],
+)
+def test_decode_summary_line_of_the_media_corpus(options, summary, tmp_path, capsys):
+    data = ROOT / "demos" / "data"
+    code, out, err = run(
+        capsys, "decode", "--taxonomy", str(data / "media.tsv"), "--input", str(data / "corpus.jsonl"),
+        "--output", str(tmp_path / "pred.jsonl"), *options,
+    )
+    assert (code, out, err) == (0, "", summary + "\n")
 
 
 def test_decode_rejects_zero_beam(tax_file, corpus_file, capsys):
@@ -503,6 +548,11 @@ def test_evaluate_rejects_repeated_prediction_id(tax_file, corpus_file, tmp_path
         pytest.param("evaluate", {"id": 1, "labels": ["Entertainment"]}, id="evaluate-id-number"),
         pytest.param("linearize", {"id": True, "labels": ["Business"]}, id="corpus-id-bool"),
         pytest.param("delinearize", {"id": ["s1"], "sequence": "Root Business POP"}, id="delinearize-id-list"),
+        pytest.param(
+            "delinearize",
+            '{"id": "s1", "sequence": "Root Business POP"}\n{"id": "s1", "sequence": "Root Business POP"}',
+            id="delinearize-repeated-id",
+        ),
         pytest.param("decode", "[" * 100_000, id="decode-deep-nesting"),
         pytest.param("decode", '{"id": "d1", "text": ' + "1" * 5000 + "}", id="decode-int-digits"),
         pytest.param("evaluate", '{"id": "d1", "labels": ' + "[" * 100_000, id="evaluate-deep-nesting"),

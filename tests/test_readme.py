@@ -1,7 +1,9 @@
-"""Every ``python`` code block in README.md runs as documented, from the repository root."""
+"""README.md stays true: every ``python`` code block runs as documented, from the
+repository root, and the Command line section names every subcommand and option."""
 
 from __future__ import annotations
 
+import argparse
 import os
 import re
 import subprocess
@@ -16,6 +18,26 @@ BLOCKS = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(enc
 
 def test_readme_has_python_blocks():
     assert BLOCKS
+
+
+def _cli_names() -> list[str]:
+    """Every subcommand and long option the CLI parser defines, argparse's own --help aside."""
+    from treedecode.cli import build_parser
+
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    names = set()
+    for name, sub in commands.choices.items():
+        names.add(name)
+        for action in sub._actions:
+            names.update(o for o in action.option_strings if o.startswith("--") and o != "--help")
+    return sorted(names)
+
+
+@pytest.mark.parametrize("name", _cli_names())
+def test_readme_command_line_section_names_every_cli_surface(name):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section), name
 
 
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
