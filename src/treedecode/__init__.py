@@ -34,7 +34,6 @@ from .errors import (
     CorpusFormatError,
     DecodeOverflowError,
     EmptyCorpusError,
-    EmptyLabelSetError,
     IllegalStateError,
     IllegalTokenError,
     InconsistentLabelSetError,
@@ -89,7 +88,6 @@ __all__ = [
     "DocumentRecord",
     "EOS",
     "EmptyCorpusError",
-    "EmptyLabelSetError",
     "IllegalStateError",
     "IllegalTokenError",
     "InconsistentLabelSetError",

@@ -31,8 +31,9 @@ from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
 from .tokens import parse_sequence, render_sequence
 
 
-def _fail(message: str) -> None:
-    print(f"error: {message}", file=sys.stderr)
+def _report(code: str, message: str) -> None:
+    """Print one domain error to stderr as a JSON line with its code and message."""
+    print(json.dumps({"error": code, "message": message}), file=sys.stderr)
 
 
 def _taxonomy_text(path: str) -> str:
@@ -74,10 +75,10 @@ def cmd_linearize(args: argparse.Namespace) -> int:
             repaired += len(closed) > len(labels)
             rows.append({"id": doc.id, "sequence": render_sequence(linearize(tax, closed))})
         except (UnknownLabelError, InconsistentLabelSetError) as err:
-            problems.append(f"document {doc.id!r}: {err}")
+            problems.append((err.code, f"document {doc.id!r}: {err}"))
     if problems:
-        for problem in problems:
-            _fail(problem)
+        for code, message in problems:
+            _report(code, message)
         return 1
     _write_rows(args.output, rows)
     if args.closure and repaired:
@@ -183,7 +184,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
         rows.append({"id": doc.id, "labels": sorted(tax.ancestor_closure(labels))})
     if offenders:
         for offender in offenders:
-            _fail(offender)
+            _report(UnknownLabelError.code, offender)
         return 1
     _write_rows(args.output, rows)
     return 0
@@ -295,10 +296,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except TreeDecodeError as err:
-        print(json.dumps({"error": err.code, "message": str(err)}), file=sys.stderr)
+        _report(err.code, str(err))
         return 1
     except OSError as err:
-        _fail(str(err))
+        print(f"error: {err}", file=sys.stderr)
         return 2
 
 

@@ -312,11 +312,13 @@ def constrained_beam_search(
     only decrease as tokens are appended, so the search ends once
     ``beam_width`` completes are banked and no active hypothesis can
     still beat the worst of them (ties keep searching so tie-breaks stay
-    lexicographic), when no active hypotheses remain, or at the length
-    budget, which raises DecodeOverflowError. Returns up to
+    lexicographic), or when no active hypotheses remain. Returns up to
     ``beam_width`` banked hypotheses, best first. Every result passes
     sequence validation, so the top label set is consistent for any
-    scorer.
+    scorer. A label is pushed and popped at most once, so a stored result
+    has at most ``2 * len(tax) - 1`` tokens; the DecodeOverflowError at
+    ``max_decode_length`` only guards that invariant. A cap on one
+    decode's work must therefore count expansions, not tokens.
     """
     return _beam(tax, scorer, text, beam_width, constrained=True)
 

@@ -33,10 +33,6 @@ class InconsistentLabelSetError(TreeDecodeError):
     code = "INCONSISTENT_LABELSET"
 
 
-class EmptyLabelSetError(TreeDecodeError):
-    code = "EMPTY_LABELSET"
-
-
 class InvalidSequenceError(TreeDecodeError):
     """A token sequence broke an automaton rule at ``position`` (first violation)."""
 

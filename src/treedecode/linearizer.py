@@ -26,11 +26,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
-from .errors import (
-    EmptyLabelSetError,
-    InconsistentLabelSetError,
-    InvalidSequenceError,
-)
+from .errors import InconsistentLabelSetError, InvalidSequenceError
 from .taxonomy import Taxonomy
 from .tokens import EOS, POP
 
@@ -52,22 +48,16 @@ class SequenceReport:
 
 
 def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
-    """Serialize a consistent, non-empty label set to its canonical token sequence.
+    """Serialize a consistent label set, the empty one included, to its canonical sequence.
 
-    Children are visited in taxonomy order, so the output is a canonical
-    form: linearize(delinearize(q)) == q for any q this function produced.
-    Inconsistent sets are rejected, not silently repaired; apply
-    Taxonomy.ancestor_closure first if leniency is wanted. A label that is
-    unknown or the root raises UnknownLabelError, the first in name order.
+    Children are visited in taxonomy order, so linearize(delinearize(q)) == q
+    for any q this function produced; the empty set gives ``[tax.root]``.
+    A label that is unknown or the root raises UnknownLabelError, the first
+    in name order; an inconsistent set then raises InconsistentLabelSetError
+    rather than being repaired (apply Taxonomy.ancestor_closure first).
     """
     members = set(labels)
-    if not members:
-        raise EmptyLabelSetError("cannot linearize an empty label set")
     tax._require_all(members, tax._parent)
-    if not tax.is_consistent(members):
-        raise InconsistentLabelSetError(
-            "label set is not closed under ancestors; apply ancestor_closure first"
-        )
 
     # Depth-first with an explicit stack of child iterators, so depth is
     # bounded by memory rather than the interpreter's recursion limit.
@@ -83,6 +73,11 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
             pending.pop()
             if pending:
                 tokens.append(POP)
+    # The walk enters a label only through its parent: it skips each member with an absent ancestor.
+    if len(tokens) != 2 * len(members) + 1:
+        raise InconsistentLabelSetError(
+            "label set is not closed under ancestors; apply ancestor_closure first"
+        )
     return tokens
 
 

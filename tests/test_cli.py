@@ -127,7 +127,7 @@ def test_unknown_label_is_named_alike_under_every_hash_seed(tmp_path):
             messages.add((command, done.stderr))
     unknown = {"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}
     assert messages == {
-        ("linearize", "error: document 'd1': unknown label 'Jazz'\n"),
+        ("linearize", json.dumps({**unknown, "message": "document 'd1': unknown label 'Jazz'"}) + "\n"),
         ("fit", json.dumps(unknown) + "\n"),
         ("evaluate", json.dumps(unknown) + "\n"),
         ("stats", json.dumps({**unknown, "message": "unknown label 'Jazz' (document 'd1')"}) + "\n"),
@@ -410,16 +410,17 @@ def test_postprocess_unknown_labels(tax_file, tmp_path, capsys):
 
 
 ROOT_AS_LABEL = json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Root'"}) + "\n"
+ROOT_IN_DOCUMENT = ROOT_AS_LABEL.replace("unknown label", "document 'd1': unknown label")
 
 
 @pytest.mark.parametrize(
     "argv,stderr",
     [
-        (["linearize", "--input", "{corpus}"], "error: document 'd1': unknown label 'Root'\n"),
-        (["linearize", "--input", "{corpus}", "--closure"], "error: document 'd1': unknown label 'Root'\n"),
+        (["linearize", "--input", "{corpus}"], ROOT_IN_DOCUMENT),
+        (["linearize", "--input", "{corpus}", "--closure"], ROOT_IN_DOCUMENT),
         (["fit", "--input", "{corpus}", "--output", "{out}"], ROOT_AS_LABEL),
         (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOT_AS_LABEL),
-        (["postprocess", "--input", "{corpus}"], "error: document 'd1': unknown labels ['Root']\n"),
+        (["postprocess", "--input", "{corpus}"], ROOT_IN_DOCUMENT.replace("label 'Root'", "labels ['Root']")),
         (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOT_AS_LABEL),
         (["stats", "--split", "train={corpus}"], ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
     ],
@@ -440,8 +441,10 @@ def test_every_command_rejects_the_root_as_a_label(argv, stderr, tax_file, tmp_p
         (["evaluate", "--gold", "{gold}", "--predictions", "{pred}"], '"micro_f1": 0.0,'),
         (["postprocess", "--input", "{pred}"], '{"id": "d1", "labels": []}\n'),
         (["stats", "--split", "gold={gold}", "--split", "pred={pred}"], '"avg_labels": 0.5,'),
+        (["linearize", "--input", "{pred}"], '{"id": "d1", "sequence": "Root"}\n'),
+        (["decode", "--scorer", "oracle", "--input", "{pred}"], '"sequence": ["Root"], "labels": [],'),
     ],
-    ids=["evaluate", "postprocess", "stats"],
+    ids=["evaluate", "postprocess", "stats", "linearize", "decode-oracle"],
 )
 def test_explicit_empty_prediction_is_valid(argv, expected, tax_file, tmp_path, capsys):
     # Unlike a record without "labels", which is a CORPUS_FORMAT error.
@@ -452,6 +455,18 @@ def test_explicit_empty_prediction_is_valid(argv, expected, tax_file, tmp_path, 
     code, out, _ = run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:])
     assert code == 0
     assert expected in out
+
+
+def test_fit_counts_an_explicit_empty_label_set(tax_file, tmp_path, capsys):
+    corpus, model = tmp_path / "corpus.jsonl", tmp_path / "model.json"
+    write_jsonl(corpus, [{"id": "a", "labels": []}, {"id": "b", "labels": ["Entertainment"]}])
+    code, _, _ = run(capsys, "fit", "--taxonomy", tax_file, "--input", str(corpus), "--output", str(model))
+    assert code == 0
+    # "a" is the sequence Root <eos>; "b" is Root Entertainment POP <eos>.
+    counts = json.loads(model.read_text())["counts"]
+    assert counts == {
+        "Root": {"<eos>": 1, "Entertainment": 1}, "Entertainment": {"POP": 1}, "POP": {"<eos>": 1},
+    }
 
 
 def test_evaluate_isolated_fixture(tax_file, tmp_path, capsys):

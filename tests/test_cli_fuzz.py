@@ -1,5 +1,7 @@
 """Seeded fuzz of the CLI: malformed input ends in exit code 0, 1 or 2, never a traceback.
 
+Exit code 1 is a domain error, written to stderr as JSON lines only.
+
 Each case mutates one valid input file (a TSV taxonomy, a JSONL corpus or
 predictions file, a bigram model file) by one of: truncation, byte flips,
 bytes that are not UTF-8, deep nesting, values of the wrong type and huge
@@ -137,6 +139,13 @@ def huge_numbers(rng, kind, data):
 MUTATIONS = (truncation, byte_flips, not_utf8, deep_nesting, wrong_types, huge_numbers)
 
 
+def _json_object(line: str) -> bool:
+    try:
+        return isinstance(json.loads(line), dict)
+    except ValueError:
+        return False
+
+
 def _commands(kind: str, path: str, valid: dict[str, str], out: str) -> list[list[str]]:
     """Every command that reads a file of this kind, with the other inputs valid."""
     files = dict(valid, **{kind: path})
@@ -176,3 +185,4 @@ def test_malformed_input_never_ends_in_a_traceback(kind, mutation, tmp_path, cap
             err = capsys.readouterr().err
             assert code in (0, 1, 2), (case, argv, err)
             assert "Traceback" not in err, (case, argv, err)
+            assert code != 1 or all(map(_json_object, err.splitlines())), (case, argv, err)

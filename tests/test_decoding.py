@@ -385,6 +385,8 @@ def test_adversarial_scorers_always_decode_consistent():
                 assert validate_sequence(tax, result.tokens).ok
                 assert tax.is_consistent(result.labels)
                 assert result.logprob <= 0.0
+                # Each label is pushed and popped at most once, far inside max_decode_length.
+                assert len(result.tokens) <= 2 * len(tax) - 1
             assert delinearize(tax, results[0].tokens) == set(results[0].labels)
 
 

@@ -16,7 +16,6 @@ from conftest import (
 )
 from treedecode import (
     EOS,
-    EmptyLabelSetError,
     InconsistentLabelSetError,
     InvalidSequenceError,
     POP,
@@ -53,8 +52,7 @@ def test_sibling_order_follows_taxonomy(media_tax):
 def test_linearize_rejects_bad_inputs(media_tax):
     with pytest.raises(InconsistentLabelSetError):
         linearize(media_tax, {"Entertainment", "Documentary", "Company"})
-    with pytest.raises(EmptyLabelSetError):
-        linearize(media_tax, set())
+    assert linearize(media_tax, set()) == ["Root"]  # the empty set is not bad input
     with pytest.raises(UnknownLabelError):
         linearize(media_tax, {"Music"})
     # The root opens every sequence but is never a label: {Root, A} would
@@ -152,12 +150,12 @@ def test_round_trips_and_length_law():
     rng = random.Random(23)
     for _ in range(60):
         tax = random_taxonomy(rng, rng.randint(2, 50))
-        labels = random_consistent_labels(rng, tax)
-        sequence = linearize(tax, labels)
-        assert validate_sequence(tax, sequence).ok
-        assert len(sequence) == 2 * len(labels) + 1
-        assert delinearize(tax, sequence) == labels
-        assert linearize(tax, delinearize(tax, sequence)) == sequence
+        for labels in (random_consistent_labels(rng, tax), set()):
+            sequence = linearize(tax, labels)
+            assert validate_sequence(tax, sequence).ok
+            assert len(sequence) == 2 * len(labels) + 1
+            assert delinearize(tax, sequence) == labels
+            assert linearize(tax, delinearize(tax, sequence)) == sequence
 
 
 def test_render_parse_round_trip():

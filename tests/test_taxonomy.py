@@ -7,10 +7,12 @@ import pytest
 from conftest import MEDIA_EDGES, random_taxonomy
 from treedecode import (
     DocumentRecord,
+    InconsistentLabelSetError,
     InvalidTaxonomyError,
     Taxonomy,
     UnknownLabelError,
     dataset_stats,
+    linearize,
     parse_taxonomy,
     validate_taxonomy,
 )
@@ -186,6 +188,15 @@ def test_closure_properties():
             chains = [set(tax.ancestors(label)) for label in labels]
             assert tax.ancestor_closure(labels) == labels.union(*chains)
             assert tax.is_consistent(labels) == all(chain <= labels for chain in chains)
+            # linearize takes labels only (never the root) and, the empty set
+            # included, rejects exactly the sets that is_consistent rejects.
+            labels.discard(tax.root)
+            try:
+                linearize(tax, labels)
+            except InconsistentLabelSetError:
+                assert not tax.is_consistent(labels)
+            else:
+                assert tax.is_consistent(labels)
 
 
 def test_depth_matches_parent_chain_walk():
