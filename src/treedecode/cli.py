@@ -110,9 +110,16 @@ def cmd_delinearize(args: argparse.Namespace) -> int:
 def cmd_fit(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     documents = read_documents(args.input)
-    scorer = fit_bigram_scorer(
-        tax, ((doc.text, required_labels(doc)) for doc in documents), closure=args.closure
-    )
+    doc = None
+    def gold():  # the fit counts one document at a time, so a label error is ``doc``'s
+        nonlocal doc
+        for doc in documents:
+            yield doc.text, required_labels(doc)
+    try:
+        scorer = fit_bigram_scorer(tax, gold(), closure=args.closure)
+    except (UnknownLabelError, InconsistentLabelSetError) as err:
+        _report(err.code, f"document {doc.id!r}: {err}")
+        return 1
     scorer.save(args.output)
     if scorer.repaired_docs:
         print(f"ancestor closure repaired {scorer.repaired_docs} document(s)", file=sys.stderr)
@@ -149,8 +156,8 @@ def cmd_decode(args: argparse.Namespace) -> int:
     overflowed = []
     inconsistent = 0
     for doc in documents:
-        scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
         try:
+            scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
             if args.mode == "constrained":
                 result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
             else:
@@ -158,6 +165,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         except DecodeOverflowError:
             overflowed.append(doc.id)
             continue
+        except (UnknownLabelError, InconsistentLabelSetError) as err:  # the oracle's gold set
+            _report(err.code, f"document {doc.id!r}: {err}")
+            return 1
         inconsistent += not tax.is_consistent(result.labels)
         rows.append(result.to_dict(doc.id))
     _write_rows(args.output, rows)

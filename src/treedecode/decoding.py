@@ -24,16 +24,17 @@ then POP), so results are deterministic under exact ties.
 
 A step is list arithmetic over each hypothesis's vocabulary tuple, read
 from its automaton frame (see ``linearizer``) already in that order: no
-set is built, filtered or sorted. The scorer's mapping is read once into
-a list aligned with the tuple, and one list kernel (``_log_softmax``)
-turns it into log probabilities; ``restricted_log_softmax`` and
-``sequence_nll`` use the same kernel. Active hypotheses are plain
+set is built, filtered or sorted. The scorer's mapping is read once into a
+list aligned with the tuple, and one list kernel (``_log_softmax``) turns
+it into log probabilities; ``restricted_log_softmax`` and ``sequence_nll``
+use the same kernel. A scorer that declares ``markov_order = 1`` is scored
+once per (last token, vocabulary) per decode. Active hypotheses are plain
 ``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)`` pairs,
 and only the final bank becomes ``DecodedSequence`` objects. A step costs
 O(beam * |V|) to score and rank the expansions with constant-size keys;
 only the ``beam_width`` survivors are built, each with one prefix copy and
-one frame advance, an O(|V|) splice. The public ``DecoderState`` keeps
-the stack and visited labels instead, which frames cannot give back.
+one frame advance, an O(|V|) splice. The public ``DecoderState`` keeps the
+stack and visited labels instead, which frames cannot give back.
 """
 
 from __future__ import annotations
@@ -67,6 +68,11 @@ class Scorer(Protocol):
     depend on tokens outside the supplied candidate set. Returning
     scores for extra tokens is allowed; the decoder masks the mapping
     down to the candidates.
+
+    The optional class attribute ``markov_order = 1`` promises that scores
+    depend only on ``text``, ``prefix[-1]`` and ``candidates``: beam search
+    then scores each (last token, vocabulary) once per decode. Without it,
+    or with another value, every hypothesis is scored at every step.
     """
 
     def score(
@@ -261,6 +267,8 @@ def _beam(
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     limit = max_decode_length(tax)
+    # (last token, vocabulary) -> log probabilities; one decode only, as scores may read the text.
+    memo = {} if getattr(scorer, "markov_order", None) == 1 else None
     frame = _start_frame(tax) if constrained else (full_alphabet(tax), None)
     active = [(0.0, (tax.root,), frame)]
     banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, sequence_sort_key), tokens)
@@ -271,7 +279,10 @@ def _beam(
             )
         expansions = []  # (-logprob, parent rank, candidate index)
         for rank, (logprob, tokens, frame) in enumerate(active):
-            log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
+            if memo is None:
+                log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
+            elif (log_probs := memo.get(key := (tokens[-1], frame[0]))) is None:
+                log_probs = memo[key] = _masked_log_probs(scorer, text, tokens, frame[0])
             expansions += [(-(logprob + lp), rank, index) for index, lp in enumerate(log_probs)]
         survivors = heapq.nsmallest(beam_width, expansions)
         survivors.sort(key=itemgetter(1, 2))

@@ -88,8 +88,11 @@ class BigramScorer:
     log probabilities per context on first use: the counted tokens plus
     one shared value for every uncounted token, each computed exactly as
     ``math.log(probability(prev, token))``. The counts are not meant to
-    change after construction.
+    change after construction. Scores read only ``prefix[-1]``, so the
+    class declares ``markov_order = 1`` (see ``decoding.Scorer``).
     """
+
+    markov_order = 1
 
     def __init__(
         self,

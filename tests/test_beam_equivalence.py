@@ -1,10 +1,14 @@
-"""The beam engine against a full-sort reference, and the cross-length tie-break.
+"""The beam engine against a full-sort reference, the cross-length tie-break, and the order-1 memo.
 
 ``reference_beam`` is the straightforward beam search the engine replaces:
 it builds every expansion as a full hypothesis, sorts all of them by
 ``(-logprob, sequence_sort_key(tokens))`` and keeps the first
 ``beam_width``. The engine ranks with constant-size keys and builds only
 the survivors; both must return the same results in the same order.
+
+A scorer that declares ``markov_order = 1`` is scored once per (last
+token, vocabulary) per decode; ``Forwarding`` hides the declaration, so
+the same scorer behind it is scored for every hypothesis at every step.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from treedecode import (
     OracleScorer,
     RandomScorer,
     Taxonomy,
+    BigramScorer,
     UniformScorer,
     constrained_beam_search,
     dynamic_vocabulary,
+    fit_bigram_scorer,
     full_alphabet,
     initial_state,
     linearize,
@@ -33,6 +39,7 @@ from treedecode import (
     step,
     unconstrained_decode,
 )
+from treedecode.decoding import _beam
 from treedecode.tokens import sequence_sort_key, token_sort_key
 
 
@@ -147,3 +154,83 @@ def test_banked_hypotheses_of_different_lengths_tie_lexicographically():
         ("Root B POP A A1 POP POP", tie),
         ("Root B POP A POP", tie),
     ]
+
+
+class CountingBigram(BigramScorer):
+    """A bigram scorer that counts its ``score`` calls; it keeps ``markov_order = 1``."""
+
+    calls = 0
+
+    def score(self, text, prefix, candidates):
+        self.calls += 1
+        return super().score(text, prefix, candidates)
+
+
+class Forwarding:
+    """Forwards ``score`` to a scorer but declares no ``markov_order``."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+
+    def score(self, text, prefix, candidates):
+        return self.scorer.score(text, prefix, candidates)
+
+
+def counting_bigram(rng, tax):
+    fitted = fit_bigram_scorer(tax, [("", random_consistent_labels(rng, tax)) for _ in range(20)])
+    return CountingBigram(fitted.alphabet, fitted.counts)
+
+
+def bit_exact(results):
+    return [(r.tokens, r.labels, r.logprob.hex()) for r in results]
+
+
+def test_order_one_memo_changes_no_result():
+    rng = random.Random(2206)
+    memo_calls = plain_calls = 0
+    for case in range(40):
+        tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
+        scorer = counting_bigram(rng, tax)
+        text = f"case {case}"
+        for constrained in (True, False):
+            for width in (1, 4):
+                before = scorer.calls
+                memoized = bit_exact(_beam(tax, scorer, text, width, constrained))
+                memo_calls += scorer.calls - before
+                before = scorer.calls
+                plain = bit_exact(_beam(tax, Forwarding(scorer), text, width, constrained))
+                plain_calls += scorer.calls - before
+                assert memoized == plain
+    assert memo_calls < plain_calls / 2  # the memo was used, not bypassed
+
+
+def unconstrained_score_calls(rng, cases):
+    """Per seeded case: the tree, its fitted scorer, and the score calls and result of one decode."""
+    for _ in range(cases):
+        tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
+        scorer = counting_bigram(rng, tax)
+        result = unconstrained_decode(tax, scorer, "text", 4)
+        yield tax, scorer, scorer.calls, result
+
+
+def test_order_one_memo_lives_in_one_decode():
+    # A memo kept across decodes would leave the second decode nothing to score.
+    for tax, scorer, calls, _ in unconstrained_score_calls(random.Random(2207), 20):
+        unconstrained_decode(tax, scorer, "text", 4)
+        assert scorer.calls == 2 * calls
+
+
+def test_order_one_memo_scores_each_context_once_per_decode():
+    # The contexts are the root, each label and POP; a finished hypothesis is never scored.
+    truncated = 0
+    for tax, _, calls, result in unconstrained_score_calls(random.Random(2208), 40):
+        assert calls <= len(tax) + 1
+        truncated += len(result.tokens) == max_decode_length(tax)
+    assert truncated > 0
+
+
+def test_only_the_bigram_scorer_declares_markov_order_one():
+    # The memo would change the results of a scorer that reads more than the last token.
+    assert BigramScorer.markov_order == 1
+    for scorer in (UniformScorer, OracleScorer, RandomScorer):
+        assert not hasattr(scorer, "markov_order")

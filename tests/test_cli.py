@@ -128,7 +128,7 @@ def test_unknown_label_is_named_alike_under_every_hash_seed(tmp_path):
     unknown = {"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}
     assert messages == {
         ("linearize", json.dumps({**unknown, "message": "document 'd1': unknown label 'Jazz'"}) + "\n"),
-        ("fit", json.dumps(unknown) + "\n"),
+        ("fit", json.dumps({**unknown, "message": "document 'd1': unknown label 'Jazz'"}) + "\n"),
         ("evaluate", json.dumps(unknown) + "\n"),
         ("stats", json.dumps({**unknown, "message": "unknown label 'Jazz' (document 'd1')"}) + "\n"),
     }
@@ -165,6 +165,19 @@ def test_fit_inconsistent_corpus_requires_closure(tax_file, tmp_path, capsys):
     assert run(capsys, "fit", "--taxonomy", tax_file, "--input", str(closed),
                "--output", str(closed_model))[0] == 0
     assert model.read_bytes() == closed_model.read_bytes()
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["decode", "--scorer", "oracle"]], ids=["fit", "decode-oracle"])
+def test_a_bad_gold_set_is_reported_with_its_document(argv, tax_file, tmp_path, capsys):
+    corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.json"
+    write_jsonl(corpus, [{"id": "a", "labels": ["Entertainment"]}, {"id": "b", "labels": ["Documentary"]}])
+    code, stdout, err = run(
+        capsys, *argv, "--taxonomy", tax_file, "--input", str(corpus), "--output", str(out)
+    )
+    message = "label set is not closed under ancestors; apply ancestor_closure first"
+    expected = {"error": "INCONSISTENT_LABELSET", "message": f"document 'b': {message}"}
+    assert (code, stdout, err) == (1, "", json.dumps(expected) + "\n")
+    assert not out.exists()
 
 
 def test_fit_empty_corpus(tax_file, tmp_path, capsys):
@@ -418,8 +431,8 @@ ROOT_IN_DOCUMENT = ROOT_AS_LABEL.replace("unknown label", "document 'd1': unknow
     [
         (["linearize", "--input", "{corpus}"], ROOT_IN_DOCUMENT),
         (["linearize", "--input", "{corpus}", "--closure"], ROOT_IN_DOCUMENT),
-        (["fit", "--input", "{corpus}", "--output", "{out}"], ROOT_AS_LABEL),
-        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOT_AS_LABEL),
+        (["fit", "--input", "{corpus}", "--output", "{out}"], ROOT_IN_DOCUMENT),
+        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOT_IN_DOCUMENT),
         (["postprocess", "--input", "{corpus}"], ROOT_IN_DOCUMENT.replace("label 'Root'", "labels ['Root']")),
         (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOT_AS_LABEL),
         (["stats", "--split", "train={corpus}"], ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
