@@ -165,8 +165,12 @@ def cmd_decode(args: argparse.Namespace) -> int:
         except DecodeOverflowError:
             overflowed.append(doc.id)
             continue
-        except (UnknownLabelError, InconsistentLabelSetError) as err:  # the oracle's gold set
+        except UnknownLabelError as err:  # the oracle's gold set
             _report(err.code, f"document {doc.id!r}: {err}")
+            return 1
+        except InconsistentLabelSetError as err:  # decode has no --closure to apply
+            _report(err.code, f"document {doc.id!r}: label set is not closed under ancestors; "
+                    "run treedecode postprocess on the gold file first")
             return 1
         inconsistent += not tax.is_consistent(result.labels)
         rows.append(result.to_dict(doc.id))

@@ -30,17 +30,18 @@ it into log probabilities; ``restricted_log_softmax`` and ``sequence_nll``
 use the same kernel. A scorer that declares ``markov_order = 1`` is scored
 once per (last token, vocabulary) per decode. Active hypotheses are plain
 ``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)`` pairs,
-and only the final bank becomes ``DecodedSequence`` objects. A step costs
-O(beam * |V|) to score and rank the expansions with constant-size keys;
-only the ``beam_width`` survivors are built, each with one prefix copy and
-one frame advance, an O(|V|) splice. The public ``DecoderState`` keeps the
-stack and visited labels instead, which frames cannot give back.
+and only the final bank becomes ``DecodedSequence`` objects. A step ranks
+its expansions' float totals with one stable sort; a reused memo row adds
+only its ``beam_width`` best plus rounding ties. Only the survivors are
+built, each with one prefix copy and one frame advance, an O(|V|) splice.
+The public ``DecoderState`` keeps the stack and visited labels instead,
+which frames cannot give back.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from bisect import bisect_right
 from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from operator import itemgetter
@@ -243,6 +244,18 @@ def max_decode_length(tax: Taxonomy) -> int:
     return 2 * len(tax) + 2
 
 
+def _reused_picks(row: list, logprob: float, beam_width: int) -> list[int]:
+    """The indices of a reused memo row ``[log_probs, order]`` that can survive a step, in index order."""
+    log_probs, order = row
+    if order is None:  # ranked by (-log prob, index) on the row's first reuse
+        order = row[1] = sorted(range(len(log_probs)), key=log_probs.__getitem__, reverse=True)
+    # Past the beam_width-th, keep each index whose total rounds to the same float: it may win that tie.
+    cut, floor = beam_width, logprob + log_probs[order[min(beam_width, len(order)) - 1]]
+    while cut < len(order) and logprob + log_probs[order[cut]] == floor:
+        cut += 1
+    return sorted(order[:cut])
+
+
 def _beam(
     tax: Taxonomy, scorer: Scorer, text: str, beam_width: int, constrained: bool
 ) -> list[DecodedSequence]:
@@ -257,9 +270,10 @@ def _beam(
     order. Its hypotheses all have the same length, and each step's
     candidates come in ``token_sort_key`` order, so an expansion's full key
     ``(-logprob, sequence_sort_key(tokens))`` orders exactly like
-    ``(-logprob, parent rank, candidate index)``. Only the ``beam_width``
-    smallest of those short keys become hypotheses; re-sorting them by
-    (parent rank, index) gives the next step's ranks. A survivor's token
+    ``(-logprob, parent rank, candidate index)``: the float totals are laid
+    out in that order and sorted stably by total alone (a reused memo row
+    lays out only what ``_reused_picks`` keeps). The ``beam_width`` best
+    positions, re-sorted, give the next step's ranks. A survivor's token
     comes from the vocabulary its parent was just scored over, so it
     advances without a second check. Banked hypotheses differ in length, so
     each gets its full key once, when it is banked.
@@ -267,7 +281,7 @@ def _beam(
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     limit = max_decode_length(tax)
-    # (last token, vocabulary) -> log probabilities; one decode only, as scores may read the text.
+    # (last token, vocabulary) -> [log probs, order once reused]; one decode only, as scores may read the text.
     memo = {} if getattr(scorer, "markov_order", None) == 1 else None
     frame = _start_frame(tax) if constrained else (full_alphabet(tax), None)
     active = [(0.0, (tax.root,), frame)]
@@ -277,26 +291,34 @@ def _beam(
             raise DecodeOverflowError(
                 f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
             )
-        expansions = []  # (-logprob, parent rank, candidate index)
-        for rank, (logprob, tokens, frame) in enumerate(active):
-            if memo is None:
-                log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
-            elif (log_probs := memo.get(key := (tokens[-1], frame[0]))) is None:
-                log_probs = memo[key] = _masked_log_probs(scorer, text, tokens, frame[0])
-            expansions += [(-(logprob + lp), rank, index) for index, lp in enumerate(log_probs)]
-        survivors = heapq.nsmallest(beam_width, expansions)
-        survivors.sort(key=itemgetter(1, 2))
+        totals: list[float] = []  # every parent's candidate totals, in (parent rank, index) order
+        spans = []  # per parent rank: (position of its first total, the index at each position)
+        for logprob, tokens, frame in active:
+            if memo is not None and (row := memo.get(key := (tokens[-1], frame[0]))):
+                spans.append((len(totals), pick := _reused_picks(row, logprob, beam_width)))
+                totals += [logprob + row[0][index] for index in pick]
+                continue
+            log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
+            if memo is not None:
+                memo[key] = [log_probs, None]
+            spans.append((len(totals), range(len(log_probs))))
+            totals += map(logprob.__add__, log_probs)
+        # Stable, so equal totals keep (parent rank, index) order, as their full keys would.
+        survivors = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)[:beam_width]
         parents, active = active, []
-        for negative, rank, index in survivors:
-            _, tokens, frame = parents[rank]
+        for position in sorted(survivors):
+            rank = bisect_right(spans, position, key=itemgetter(0)) - 1
+            (_, tokens, frame), (start, pick) = parents[rank], spans[rank]
+            index = pick[position - start]
             token = frame[0][index]
             tokens += (token,)
+            logprob = totals[position]
             if token == EOS or (not constrained and len(tokens) >= limit):
-                banked.append(((negative, sequence_sort_key(tokens)), tokens))
+                banked.append(((-logprob, sequence_sort_key(tokens)), tokens))
             elif constrained:
-                active.append((-negative, tokens, _advance(tax, frame, index)))
+                active.append((logprob, tokens, _advance(tax, frame, index)))
             else:
-                active.append((-negative, tokens, frame))
+                active.append((logprob, tokens, frame))
         banked.sort(key=itemgetter(0))
         del banked[beam_width:]
         if (

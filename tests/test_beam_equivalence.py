@@ -3,8 +3,9 @@
 ``reference_beam`` is the straightforward beam search the engine replaces:
 it builds every expansion as a full hypothesis, sorts all of them by
 ``(-logprob, sequence_sort_key(tokens))`` and keeps the first
-``beam_width``. The engine ranks with constant-size keys and builds only
-the survivors; both must return the same results in the same order.
+``beam_width``. The engine ranks float totals with one stable sort and
+builds only the survivors; both must return the same results in the same
+order.
 
 A scorer that declares ``markov_order = 1`` is scored once per (last
 token, vocabulary) per decode; ``Forwarding`` hides the declaration, so
@@ -193,7 +194,7 @@ def test_order_one_memo_changes_no_result():
         scorer = counting_bigram(rng, tax)
         text = f"case {case}"
         for constrained in (True, False):
-            for width in (1, 4):
+            for width in (1, 2, 4, 8):
                 before = scorer.calls
                 memoized = bit_exact(_beam(tax, scorer, text, width, constrained))
                 memo_calls += scorer.calls - before
@@ -202,6 +203,32 @@ def test_order_one_memo_changes_no_result():
                 plain_calls += scorer.calls - before
                 assert memoized == plain
     assert memo_calls < plain_calls / 2  # the memo was used, not bypassed
+
+
+class Staircase:
+    """An order-1 scorer: ``<eos>`` scores -50 and the candidate at index ``i`` scores ``i * step``."""
+
+    markov_order = 1
+
+    def __init__(self, step):
+        self.step = step
+
+    def score(self, text, prefix, candidates):
+        return {t: -50.0 if t == EOS else i * self.step for i, t in enumerate(candidates)}
+
+
+def test_reused_rows_keep_candidates_whose_totals_round_to_a_tie():
+    # Log probabilities a few ulps apart become equal totals once added to a
+    # larger logprob, and then the smaller index must win; a reused row that
+    # kept only its beam_width best log probabilities would lose it.
+    tax = parse_taxonomy("".join(f"Root\tL{i}\n" for i in range(7)))
+    for step in (1e-15, 2e-15, 5e-15, 1e-14, 3e-14):
+        scorer = Staircase(step)
+        for width in (2, 3, 4):
+            memoized = bit_exact(_beam(tax, scorer, "", width, False))
+            assert memoized == bit_exact(_beam(tax, Forwarding(scorer), "", width, False))
+            reference = reference_beam(tax, scorer, "", width, False)
+            assert memoized == bit_exact([stored(tax, *entry) for entry in reference])
 
 
 def unconstrained_score_calls(rng, cases):

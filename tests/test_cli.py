@@ -174,7 +174,8 @@ def test_a_bad_gold_set_is_reported_with_its_document(argv, tax_file, tmp_path, 
     code, stdout, err = run(
         capsys, *argv, "--taxonomy", tax_file, "--input", str(corpus), "--output", str(out)
     )
-    message = "label set is not closed under ancestors; apply ancestor_closure first"
+    advice = "run treedecode postprocess on the gold file" if argv[0] == "decode" else "apply ancestor_closure"
+    message = f"label set is not closed under ancestors; {advice} first"
     expected = {"error": "INCONSISTENT_LABELSET", "message": f"document 'b': {message}"}
     assert (code, stdout, err) == (1, "", json.dumps(expected) + "\n")
     assert not out.exists()
