@@ -71,6 +71,8 @@ def cmd_linearize(args: argparse.Namespace) -> int:
     for doc in documents:
         labels = required_labels(doc)
         try:
+            if args.closure:  # checked first: the closure alone would accept the root
+                tax._require_all(labels, tax._parent)
             closed = tax.ancestor_closure(labels) if args.closure else labels
             repaired += len(closed) > len(labels)
             rows.append({"id": doc.id, "sequence": render_sequence(linearize(tax, closed))})
@@ -207,7 +209,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     gold_docs = read_documents(args.gold)
-    predictions = {doc.id: set(required_labels(doc)) for doc in read_documents(args.predictions)}
+    predictions = {doc.id: required_labels(doc) for doc in read_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))
@@ -215,7 +217,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise AlignmentError(
             f"ids without predictions: {missing or 'none'}; predictions without gold: {extra or 'none'}"
         )
-    gold_sets = [set(required_labels(doc)) for doc in gold_docs]
+    gold_sets = [required_labels(doc) for doc in gold_docs]
     pred_sets = [predictions[doc_id] for doc_id in gold_ids]
     report = metrics.evaluate(tax, gold_sets, pred_sets)
     print(report.format_table())

@@ -1,11 +1,12 @@
 """Micro/Macro F1 and their path-constrained variants.
 
-The path-constrained variants judge a predicted label "true" only when
-every ancestor of that label (root excluded) was also predicted for the
-same document: a correct leaf hanging off a missed parent earns no
-credit. Denied predictions still count as predictions, so the
-predicted-positive and gold-positive totals are unchanged and the
-constrained scores can never exceed the standard ones.
+The path-constrained variants credit a correct predicted label only when
+it is path-complete: its parent is the root or a path-complete predicted
+label, so every ancestor (root excluded) was predicted for the same
+document and a correct leaf hanging off a missed parent earns no credit.
+Denied predictions still count as predictions, so the predicted-positive
+and gold-positive totals are unchanged and the constrained scores can
+never exceed the standard ones.
 
 The root is excluded from every computation. Labels with no gold or
 predicted occurrences contribute F1 = 0 to the macro average (they are
@@ -49,38 +50,34 @@ class ConfusionCounts:
 
 
 def confusion_counts(
-    tax: Taxonomy,
-    gold: Sequence[Set[str]],
-    pred: Sequence[Set[str]],
-    constrained: bool = False,
-) -> ConfusionCounts:
-    """Tally confusion counts over index-aligned gold/predicted label sets.
+    tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]
+) -> tuple[ConfusionCounts, ConfusionCounts]:
+    """Tally ``(standard, constrained)`` counts over index-aligned gold/predicted label sets.
 
-    In constrained mode a predicted label earns tp credit only if it is
-    gold AND all its ancestors are predicted in the same document. A label
-    that is unknown or the root raises UnknownLabelError, the first in name
-    order.
+    Both come from one pass. A gold prediction whose parent is neither the root nor a
+    path-complete prediction is denied: the constrained counts move it from tp to fp and fn.
+    A label that is unknown or the root raises UnknownLabelError, the first in name order.
     """
     if len(gold) != len(pred):
         raise AlignmentError(f"{len(gold)} gold documents vs {len(pred)} predictions")
     tp = {label: 0 for label in tax.labels}
-    fp = dict(tp)
-    fn = dict(tp)
+    fp, fn, denied = dict(tp), dict(tp), dict(tp)
     for gold_doc, pred_doc in zip(gold, pred):
         tax._require_all(gold_doc | pred_doc, tax._parent)
-        credited = {
-            label for label in gold_doc & pred_doc
-            if not constrained or all(a in pred_doc for a in tax.ancestors(label))
-        }
-        for label in credited:
+        complete = {tax.root}
+        for label in sorted(pred_doc, key=tax._depth.__getitem__):  # parents first
+            if tax._parent[label] in complete:
+                complete.add(label)
+        for label in gold_doc & pred_doc:
             tp[label] += 1
-        for label in pred_doc - credited:
+            denied[label] += label not in complete
+        for label in pred_doc - gold_doc:
             fp[label] += 1
-        for label in gold_doc - credited:
+        for label in gold_doc - pred_doc:
             fn[label] += 1
-    return ConfusionCounts(
-        {label: LabelCounts(tp[label], fp[label], fn[label]) for label in tax.labels}
-    )
+    standard = {label: LabelCounts(tp[label], fp[label], fn[label]) for label in tax.labels}
+    constrained = {label: LabelCounts(tp[label] - d, fp[label] + d, fn[label] + d) for label, d in denied.items()}
+    return ConfusionCounts(standard), ConfusionCounts(constrained)
 
 
 def micro_f1(counts: ConfusionCounts) -> float:
@@ -141,8 +138,7 @@ class MetricsReport:
 
 def evaluate(tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]) -> MetricsReport:
     """Compute standard and path-constrained metrics for aligned label sets."""
-    standard = confusion_counts(tax, gold, pred, constrained=False)
-    constrained = confusion_counts(tax, gold, pred, constrained=True)
+    standard, constrained = confusion_counts(tax, gold, pred)
     rows = tuple(
         PerLabelRow(
             label=label,

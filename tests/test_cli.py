@@ -425,24 +425,37 @@ def test_postprocess_unknown_labels(tax_file, tmp_path, capsys):
 
 ROOT_AS_LABEL = json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Root'"}) + "\n"
 ROOT_IN_DOCUMENT = ROOT_AS_LABEL.replace("unknown label", "document 'd1': unknown label")
+ROOTED = ["Entertainment", "Root"]
+# --closure must check labels before it closes the set, or it would accept the root and name 'Zzz'.
+ROOT_AND_UNKNOWN = ["Root", "Zzz"]
+FIT = ["fit", "--input", "{corpus}", "--output", "{out}"]
 
 
 @pytest.mark.parametrize(
-    "argv,stderr",
+    "argv,labels,stderr",
     [
-        (["linearize", "--input", "{corpus}"], ROOT_IN_DOCUMENT),
-        (["linearize", "--input", "{corpus}", "--closure"], ROOT_IN_DOCUMENT),
-        (["fit", "--input", "{corpus}", "--output", "{out}"], ROOT_IN_DOCUMENT),
-        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOT_IN_DOCUMENT),
-        (["postprocess", "--input", "{corpus}"], ROOT_IN_DOCUMENT.replace("label 'Root'", "labels ['Root']")),
-        (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOT_AS_LABEL),
-        (["stats", "--split", "train={corpus}"], ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
+        (["linearize", "--input", "{corpus}"], ROOTED, ROOT_IN_DOCUMENT),
+        (["linearize", "--input", "{corpus}", "--closure"], ROOTED, ROOT_IN_DOCUMENT),
+        (FIT, ROOTED, ROOT_IN_DOCUMENT),
+        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOTED, ROOT_IN_DOCUMENT),
+        (["postprocess", "--input", "{corpus}"], ROOTED,
+         ROOT_IN_DOCUMENT.replace("label 'Root'", "labels ['Root']")),
+        (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOTED, ROOT_AS_LABEL),
+        (["stats", "--split", "train={corpus}"], ROOTED,
+         ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
+        (["linearize", "--input", "{corpus}"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
+        (["linearize", "--input", "{corpus}", "--closure"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
+        (FIT, ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
+        ([*FIT, "--closure"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
     ],
-    ids=["linearize", "linearize-closure", "fit", "decode-oracle", "postprocess", "evaluate", "stats"],
+    ids=[
+        "linearize", "linearize-closure", "fit", "decode-oracle", "postprocess", "evaluate", "stats",
+        "linearize-unknown", "linearize-closure-unknown", "fit-unknown", "fit-closure-unknown",
+    ],
 )
-def test_every_command_rejects_the_root_as_a_label(argv, stderr, tax_file, tmp_path, capsys):
+def test_every_command_rejects_the_root_as_a_label(argv, labels, stderr, tax_file, tmp_path, capsys):
     corpus = tmp_path / "rooted.jsonl"
-    write_jsonl(corpus, [{"id": "d1", "text": "", "labels": ["Entertainment", "Root"]}])
+    write_jsonl(corpus, [{"id": "d1", "text": "", "labels": labels}])
     argv = [arg.format(corpus=corpus, out=tmp_path / "out") for arg in argv]
     code, out, err = run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:])
     assert (code, out, err) == (1, "", stderr)

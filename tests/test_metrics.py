@@ -7,6 +7,8 @@ import pytest
 from conftest import random_consistent_labels, random_taxonomy
 from treedecode import (
     AlignmentError,
+    LabelCounts,
+    Taxonomy,
     UnknownLabelError,
     confusion_counts,
     evaluate,
@@ -19,7 +21,7 @@ ISOLATED_PRED = {"Entertainment", "Documentary", "Company"}
 
 
 def test_isolated_nodes_standard_counts(media_tax):
-    counts = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=False)
+    counts, _ = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED])
     assert (counts.totals.tp, counts.totals.fp, counts.totals.fn) == (3, 0, 2)
     assert counts.per_label["Documentary"].tp == 1
     assert counts.per_label["Movie"].fn == 1
@@ -28,7 +30,7 @@ def test_isolated_nodes_standard_counts(media_tax):
 def test_isolated_nodes_constrained_counts(media_tax):
     # Documentary and Company are correct but their parents are missing, so
     # both are denied: still predictions (fp) and still unmet gold (fn).
-    counts = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=True)
+    _, counts = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED])
     assert (counts.totals.tp, counts.totals.fp, counts.totals.fn) == (1, 2, 4)
     assert counts.per_label["Entertainment"].tp == 1
     assert counts.per_label["Documentary"].fp == 1
@@ -36,16 +38,14 @@ def test_isolated_nodes_constrained_counts(media_tax):
 
 
 def test_isolated_nodes_micro_values(media_tax):
-    standard = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=False)
-    constrained = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=True)
+    standard, constrained = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED])
     assert micro_f1(standard) == 0.75
     assert micro_f1(constrained) == 0.25
 
 
 def test_isolated_nodes_macro_values(media_tax):
     # Action never occurs and contributes F1 = 0 to the average.
-    standard = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=False)
-    constrained = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED], constrained=True)
+    standard, constrained = confusion_counts(media_tax, [GOLD], [ISOLATED_PRED])
     assert macro_f1(standard) == pytest.approx(0.5, abs=1e-15)
     assert macro_f1(constrained) == pytest.approx(1 / 6, abs=1e-15)
 
@@ -58,16 +58,14 @@ def test_perfect_predictions(media_tax):
 
 
 def test_empty_prediction(media_tax):
-    for constrained in (False, True):
-        counts = confusion_counts(media_tax, [GOLD], [set()], constrained=constrained)
+    for counts in confusion_counts(media_tax, [GOLD], [set()]):
         assert (counts.totals.tp, counts.totals.fp, counts.totals.fn) == (0, 0, len(GOLD))
 
 
 def test_consistent_predictions_make_modes_equal(media_tax):
     pred = {"Entertainment", "Movie", "Business"}
     assert media_tax.is_consistent(pred)
-    standard = confusion_counts(media_tax, [GOLD], [pred], constrained=False)
-    constrained = confusion_counts(media_tax, [GOLD], [pred], constrained=True)
+    standard, constrained = confusion_counts(media_tax, [GOLD], [pred])
     assert standard == constrained
 
 
@@ -98,6 +96,46 @@ def test_dominance_on_random_matrices():
         if all(tax.is_consistent(p) for p in pred):
             assert report.c_micro_f1 == report.micro_f1
             assert report.c_macro_f1 == report.macro_f1
+
+
+def _reference_counts(tax, gold, pred):
+    """Per-label counts by the literal definitions: a gold prediction earns
+    constrained credit only when every label in ``tax.ancestors(label)`` is predicted."""
+    standard, constrained = {}, {}
+    for label in tax.labels:
+        chain = tax.ancestors(label)
+        hits = [p for g, p in zip(gold, pred) if label in g and label in p]
+        credited = sum(all(a in p for a in chain) for p in hits)
+        predicted = sum(label in p for p in pred)
+        support = sum(label in g for g in gold)
+        standard[label] = LabelCounts(len(hits), predicted - len(hits), support - len(hits))
+        constrained[label] = LabelCounts(credited, predicted - credited, support - credited)
+    return standard, constrained
+
+
+def test_one_pass_counts_match_the_ancestor_definition():
+    rng = random.Random(73)
+    cases = []
+    for _ in range(60):
+        tax = random_taxonomy(rng, rng.randint(2, 30))
+        gold = [random_consistent_labels(rng, tax) for _ in range(rng.randint(1, 8))]
+        cases.append((tax, gold, [_random_prediction(rng, tax) for _ in gold]))
+    # Deeper than the default recursion limit and named bottom-up, so name order is not
+    # depth order; without its top, every label is denied.
+    names = [f"c{i:04d}" for i in range(1500, 0, -1)]
+    chain = Taxonomy.from_edges(list(zip(["root", *names], names)))
+    cases.append((chain, [set(names)] * 2, [set(names), set(names[1:])]))
+    inconsistent = documents = 0
+    for tax, gold, pred in cases:
+        standard, constrained = confusion_counts(tax, gold, pred)
+        assert (standard.per_label, constrained.per_label) == _reference_counts(tax, gold, pred)
+        report = evaluate(tax, gold, pred)
+        assert report.inconsistent_docs == sum(not tax.is_consistent(p) for p in pred)
+        inconsistent += report.inconsistent_docs
+        documents += len(pred)
+    assert inconsistent > documents / 2
+    assert standard.totals == LabelCounts(2999, 0, 1)
+    assert constrained.totals == LabelCounts(1500, 1499, 1500)
 
 
 def test_closure_equality():

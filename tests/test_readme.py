@@ -40,6 +40,15 @@ def test_readme_command_line_section_names_every_cli_surface(name):
     assert re.search(rf"(?<![\w-]){re.escape(name)}(?![\w-])", section), name
 
 
+def test_readme_metrics_report_bullet_names_every_report_key():
+    from treedecode import evaluate, parse_taxonomy
+
+    keys = evaluate(parse_taxonomy("Root\tA\n"), [{"A"}], [{"A"}]).to_dict()
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    bullet = readme.split("* **Metrics report**", 1)[1].split("\n\n", 1)[0].split("\n* ", 1)[0]
+    assert [key for key in keys if f"`{key}`" not in bullet] == []
+
+
 @pytest.mark.parametrize("code", BLOCKS, ids=[f"block{i}" for i in range(len(BLOCKS))])
 def test_readme_block_runs(code):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
