@@ -31,9 +31,10 @@ from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
 from .tokens import parse_sequence, render_sequence
 
 
-def _report(code: str, message: str) -> None:
-    """Print one domain error to stderr as a JSON line with its code and message."""
-    print(json.dumps({"error": code, "message": message}), file=sys.stderr)
+def _report(code: str, message: object, document: str | None = None) -> None:
+    """Print one domain error to stderr as a JSON line; one in a document reads ``document '<id>': ...``."""
+    text = f"{message}" if document is None else f"document {document!r}: {message}"
+    print(json.dumps({"error": code, "message": text}), file=sys.stderr)
 
 
 def _taxonomy_text(path: str) -> str:
@@ -56,6 +57,23 @@ def _write_rows(path: str, rows: list[dict]) -> None:
         write_jsonl(path, rows)
 
 
+def _write_each(path: str, records: list[tuple[str, object]], row) -> int:
+    """Write ``{"id": id, **row(record)}`` for every ``(id, record)`` and return exit code 0,
+    or report every record that fails, write nothing and return 1."""
+    rows = []
+    for doc_id, record in records:
+        try:
+            rows.append({"id": doc_id, **row(record)})
+        except CorpusFormatError as err:  # names its record itself
+            _report(err.code, err)
+        except TreeDecodeError as err:
+            _report(err.code, err, doc_id)
+    if len(rows) < len(records):
+        return 1
+    _write_rows(path, rows)
+    return 0
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     report = validate_taxonomy(_taxonomy_text(args.taxonomy))
     print(json.dumps(report.to_dict(), indent=2))
@@ -64,49 +82,37 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 def cmd_linearize(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    documents = read_documents(args.input)
-    rows = []
-    problems = []
     repaired = 0
-    for doc in documents:
+
+    def row(doc):
+        nonlocal repaired
         labels = required_labels(doc)
-        try:
-            if args.closure:  # checked first: the closure alone would accept the root
-                tax._require_all(labels, tax._parent)
-            closed = tax.ancestor_closure(labels) if args.closure else labels
-            repaired += len(closed) > len(labels)
-            rows.append({"id": doc.id, "sequence": render_sequence(linearize(tax, closed))})
-        except (UnknownLabelError, InconsistentLabelSetError) as err:
-            problems.append((err.code, f"document {doc.id!r}: {err}"))
-    if problems:
-        for code, message in problems:
-            _report(code, message)
-        return 1
-    _write_rows(args.output, rows)
-    if args.closure and repaired:
+        closed = tax.ancestor_closure(labels) if args.closure else labels
+        repaired += len(closed) > len(labels)
+        return {"sequence": render_sequence(linearize(tax, closed))}
+
+    code = _write_each(args.output, [(doc.id, doc) for doc in read_documents(args.input)], row)
+    if code == 0 and repaired:
         print(f"ancestor closure repaired {repaired} document(s)", file=sys.stderr)
-    return 0
-
-
-def _sequence_tokens(path: str, index: int, record: dict) -> list[str]:
-    sequence = record.get("sequence")
-    if isinstance(sequence, str):
-        return parse_sequence(sequence)
-    if isinstance(sequence, list) and all(isinstance(t, str) for t in sequence):
-        return sequence
-    raise CorpusFormatError(
-        f"{path}: record {index} needs a sequence string or list of strings, got {sequence!r}"
-    )
+    return code
 
 
 def cmd_delinearize(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    rows = []
-    for index, doc_id, record in records_with_ids(args.input):
-        tokens = _sequence_tokens(args.input, index, record)
-        rows.append({"id": doc_id, "labels": sorted(delinearize(tax, tokens))})
-    _write_rows(args.output, rows)
-    return 0
+
+    def row(numbered):  # (record number, record)
+        index, record = numbered
+        tokens = record.get("sequence")
+        if isinstance(tokens, str):
+            tokens = parse_sequence(tokens)
+        elif not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise CorpusFormatError(
+                f"{args.input}: record {index} needs a sequence string or list of strings, got {tokens!r}"
+            )
+        return {"labels": sorted(delinearize(tax, tokens))}
+
+    records = [(doc_id, (index, record)) for index, doc_id, record in records_with_ids(args.input)]
+    return _write_each(args.output, records, row)
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
@@ -120,7 +126,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     try:
         scorer = fit_bigram_scorer(tax, gold(), closure=args.closure)
     except (UnknownLabelError, InconsistentLabelSetError) as err:
-        _report(err.code, f"document {doc.id!r}: {err}")
+        _report(err.code, err, doc.id)
         return 1
     scorer.save(args.output)
     if scorer.repaired_docs:
@@ -168,11 +174,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
             overflowed.append(doc.id)
             continue
         except UnknownLabelError as err:  # the oracle's gold set
-            _report(err.code, f"document {doc.id!r}: {err}")
+            _report(err.code, err, doc.id)
             return 1
         except InconsistentLabelSetError as err:  # decode has no --closure to apply
-            _report(err.code, f"document {doc.id!r}: label set is not closed under ancestors; "
-                    "run treedecode postprocess on the gold file first")
+            advice = "run treedecode postprocess on the gold file first"
+            _report(err.code, f"label set is not closed under ancestors; {advice}", doc.id)
             return 1
         inconsistent += not tax.is_consistent(result.labels)
         rows.append(result.to_dict(doc.id))
@@ -189,21 +195,11 @@ def cmd_decode(args: argparse.Namespace) -> int:
 
 def cmd_postprocess(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    rows = []
-    offenders = []
-    for doc in read_documents(args.input):
-        labels = required_labels(doc)
-        unknown = sorted(labels.difference(tax._parent))  # the root is not a label
-        if unknown:
-            offenders.append(f"document {doc.id!r}: unknown labels {unknown}")
-            continue
-        rows.append({"id": doc.id, "labels": sorted(tax.ancestor_closure(labels))})
-    if offenders:
-        for offender in offenders:
-            _report(UnknownLabelError.code, offender)
-        return 1
-    _write_rows(args.output, rows)
-    return 0
+
+    def row(doc):
+        return {"labels": sorted(tax.ancestor_closure(required_labels(doc)))}
+
+    return _write_each(args.output, [(doc.id, doc) for doc in read_documents(args.input)], row)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -219,7 +215,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         )
     gold_sets = [required_labels(doc) for doc in gold_docs]
     pred_sets = [predictions[doc_id] for doc_id in gold_ids]
-    report = metrics.evaluate(tax, gold_sets, pred_sets)
+    try:
+        report = metrics.evaluate(tax, gold_sets, pred_sets)
+    except UnknownLabelError as err:  # sets are checked in order: the first holding the label failed
+        doc_id, gold = next((i, g) for i, g, p in zip(gold_ids, gold_sets, pred_sets) if err.label in g | p)
+        _report(err.code, f"{err} in {'--gold' if err.label in gold else '--predictions'}", doc_id)
+        return 1
     print(report.format_table())
     if args.output:
         Path(args.output).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -312,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except TreeDecodeError as err:
-        _report(err.code, str(err))
+        _report(err.code, err)
         return 1
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)

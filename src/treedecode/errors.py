@@ -21,11 +21,13 @@ class InvalidTaxonomyError(TreeDecodeError):
 
 
 class UnknownLabelError(TreeDecodeError):
+    """A name that is not a label (unknown, or the root), in ``document`` if one is given."""
+
     code = "UNKNOWN_LABEL"
 
-    def __init__(self, label: str, context: str = ""):
-        suffix = f" ({context})" if context else ""
-        super().__init__(f"unknown label {label!r}{suffix}")
+    def __init__(self, label: str, document: str | None = None):
+        prefix = "" if document is None else f"document {document!r}: "
+        super().__init__(f"{prefix}unknown label {label!r}")
         self.label = label
 
 

@@ -57,7 +57,7 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     rather than being repaired (apply Taxonomy.ancestor_closure first).
     """
     members = set(labels)
-    tax._require_all(members, tax._parent)
+    tax._require_labels(members)
 
     # Depth-first with an explicit stack of child iterators, so depth is
     # bounded by memory rather than the interpreter's recursion limit.

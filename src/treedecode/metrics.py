@@ -63,7 +63,7 @@ def confusion_counts(
     tp = {label: 0 for label in tax.labels}
     fp, fn, denied = dict(tp), dict(tp), dict(tp)
     for gold_doc, pred_doc in zip(gold, pred):
-        tax._require_all(gold_doc | pred_doc, tax._parent)
+        tax._require_labels(gold_doc | pred_doc)
         complete = {tax.root}
         for label in sorted(pred_doc, key=tax._depth.__getitem__):  # parents first
             if tax._parent[label] in complete:

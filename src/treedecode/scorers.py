@@ -180,8 +180,6 @@ def fit_bigram_scorer(
     repaired = 0
     for text, labels in corpus:
         label_set = set(labels)
-        if closure:  # checked first: the closure alone would accept the root
-            tax._require_all(label_set, tax._parent)
         closed = tax.ancestor_closure(label_set) if closure else label_set
         repaired += len(closed) > len(label_set)
         sequence = linearize(tax, closed) + [EOS]

@@ -122,15 +122,11 @@ class Taxonomy:
         if node not in self._depth:
             raise UnknownLabelError(node)
 
-    def _require_all(self, names: set[str], known: Mapping[str, object], context: str = "") -> None:
-        """Raise UnknownLabelError for the first of ``names`` not in ``known``, in name order.
-
-        ``known`` is ``_depth`` to accept every node, or ``_parent`` to accept
-        only labels, which corpora and predictions hold: every node but the root.
-        """
-        unknown = names.difference(known)
+    def _require_labels(self, names: set[str], document: str | None = None) -> None:
+        """Raise UnknownLabelError naming the first of ``names``, in name order, that is unknown or the root."""
+        unknown = names.difference(self._parent)
         if unknown:
-            raise UnknownLabelError(min(unknown), context)
+            raise UnknownLabelError(min(unknown), document)
 
     def parent(self, node: str) -> str | None:
         """Parent name, or None for the root."""
@@ -162,10 +158,10 @@ class Taxonomy:
     def is_consistent(self, labels: Iterable[str]) -> bool:
         """True iff every member's ancestors (root excluded) are also members.
 
-        Raises UnknownLabelError naming the first unknown label in name order.
+        Raises UnknownLabelError for the first member in name order that is unknown or the root.
         """
         members = set(labels)
-        self._require_all(members, self._depth)
+        self._require_labels(members)
         # Testing each member's parent is enough: induction covers the rest of its chain.
         members.add(self._root)
         return all(self._parent.get(label, self._root) in members for label in members)
@@ -173,13 +169,13 @@ class Taxonomy:
     def ancestor_closure(self, labels: Iterable[str]) -> set[str]:
         """Smallest consistent superset: the union of all members' ancestor paths.
 
-        Raises UnknownLabelError naming the first unknown label in name order.
+        Raises UnknownLabelError for the first member in name order that is unknown or the root.
         """
         closed = set(labels)
-        self._require_all(closed, self._depth)
+        self._require_labels(closed)
         for label in tuple(closed):
             # A label already in the set gets its chain when the loop reaches it, if not before.
-            parent = self._parent.get(label, self._root)
+            parent = self._parent[label]
             while parent != self._root and parent not in closed:
                 closed.add(parent)
                 parent = self._parent[parent]
@@ -337,7 +333,7 @@ def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence[DocumentRecord]]
         split_sizes[split] = len(docs)
         for doc in docs:
             labels = required_labels(doc)
-            tax._require_all(labels, tax._parent, f"document {doc.id!r}")
+            tax._require_labels(labels, doc.id)
             total_labels += len(labels)
             total_docs += 1
     avg = total_labels / total_docs if total_docs else 0.0

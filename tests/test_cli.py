@@ -102,38 +102,6 @@ def test_linearize_inconsistent_requires_closure(tax_file, tmp_path, capsys):
     assert json.loads(out.splitlines()[0])["sequence"] == TWO_PATH_RENDERED
 
 
-def test_unknown_label_is_named_alike_under_every_hash_seed(tmp_path):
-    # Set iteration order follows PYTHONHASHSEED; the label an error names must not.
-    tax = tmp_path / "two.tsv"
-    tax.write_text("Root\tMusic\nRoot\tFilm\n")
-    corpus = tmp_path / "corpus.jsonl"
-    write_jsonl(corpus, [{"id": "d1", "labels": ["Music", "Sports", "Jazz", "Opera"]}])
-    io = ["--input", str(corpus), "--output", str(tmp_path / "out")]
-    commands = {
-        "linearize": io,
-        "fit": io,
-        "evaluate": ["--gold", str(corpus), "--predictions", str(corpus)],
-        "stats": ["--split", f"train={corpus}"],
-    }
-    messages = set()
-    for command, args in commands.items():
-        for seed in range(5):
-            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
-            done = subprocess.run(
-                [sys.executable, "-m", "treedecode.cli", command, "--taxonomy", str(tax), *args],
-                env=env, capture_output=True, text=True, timeout=60,
-            )
-            assert done.returncode == 1
-            messages.add((command, done.stderr))
-    unknown = {"error": "UNKNOWN_LABEL", "message": "unknown label 'Jazz'"}
-    assert messages == {
-        ("linearize", json.dumps({**unknown, "message": "document 'd1': unknown label 'Jazz'"}) + "\n"),
-        ("fit", json.dumps({**unknown, "message": "document 'd1': unknown label 'Jazz'"}) + "\n"),
-        ("evaluate", json.dumps(unknown) + "\n"),
-        ("stats", json.dumps({**unknown, "message": "unknown label 'Jazz' (document 'd1')"}) + "\n"),
-    }
-
-
 def test_fit_is_deterministic(tax_file, corpus_file, tmp_path, capsys):
     first = tmp_path / "m1.json"
     second = tmp_path / "m2.json"
@@ -423,43 +391,103 @@ def test_postprocess_unknown_labels(tax_file, tmp_path, capsys):
     assert "p9" in err and "Music" in err
 
 
-ROOT_AS_LABEL = json.dumps({"error": "UNKNOWN_LABEL", "message": "unknown label 'Root'"}) + "\n"
-ROOT_IN_DOCUMENT = ROOT_AS_LABEL.replace("unknown label", "document 'd1': unknown label")
-ROOTED = ["Entertainment", "Root"]
-# --closure must check labels before it closes the set, or it would accept the root and name 'Zzz'.
-ROOT_AND_UNKNOWN = ["Root", "Zzz"]
-FIT = ["fit", "--input", "{corpus}", "--output", "{out}"]
+# Every command that reads label sets, each run on a file "{bad}" whose record d1 holds a bad
+# label set; "evaluate" reads it as the gold file, "evaluate-predictions" as the predictions,
+# each beside a good file "{good}". Every command prints the same error line.
+LABEL_COMMANDS = {
+    "linearize": ["linearize", "--input", "{bad}"],
+    "linearize-closure": ["linearize", "--input", "{bad}", "--closure"],
+    "fit": ["fit", "--input", "{bad}", "--output", "{out}"],
+    "fit-closure": ["fit", "--input", "{bad}", "--output", "{out}", "--closure"],
+    "decode-oracle": ["decode", "--scorer", "oracle", "--input", "{bad}", "--output", "{out}"],
+    "postprocess": ["postprocess", "--input", "{bad}", "--output", "{out}"],
+    "evaluate": ["evaluate", "--gold", "{bad}", "--predictions", "{good}", "--output", "{out}"],
+    "evaluate-predictions": ["evaluate", "--gold", "{good}", "--predictions", "{bad}", "--output", "{out}"],
+    "stats": ["stats", "--split", "train={bad}"],
+}
+# (labels, the label every command must name); the "unknown" sets hold one that sorts after the root.
+ROOTED = (["Entertainment", "Root"], "Root")
+ROOT_AND_UNKNOWN = (["Root", "Zzz"], "Root")  # --closure must check the set before it closes it
+UNKNOWNS = (["Entertainment", "Sports", "Jazz", "Opera"], "Jazz")
+
+
+def _label_command(command: str, bad_set: tuple[list[str], str], tmp_path) -> tuple[list[str], str]:
+    """The argv of ``command`` on a record holding ``bad_set``, and the one stderr line it must print."""
+    labels, label = bad_set
+    bad, good = tmp_path / "bad.jsonl", tmp_path / "good.jsonl"
+    write_jsonl(bad, [{"id": "d1", "text": "", "labels": labels}])
+    write_jsonl(good, [{"id": "d1", "text": "", "labels": ["Entertainment"]}])
+    argv = [arg.format(bad=bad, good=good, out=tmp_path / "out") for arg in LABEL_COMMANDS[command]]
+    where = {"evaluate": " in --gold", "evaluate-predictions": " in --predictions"}.get(command, "")
+    message = f"document 'd1': unknown label {label!r}{where}"
+    return argv, json.dumps({"error": "UNKNOWN_LABEL", "message": message}) + "\n"
 
 
 @pytest.mark.parametrize(
-    "argv,labels,stderr",
-    [
-        (["linearize", "--input", "{corpus}"], ROOTED, ROOT_IN_DOCUMENT),
-        (["linearize", "--input", "{corpus}", "--closure"], ROOTED, ROOT_IN_DOCUMENT),
-        (FIT, ROOTED, ROOT_IN_DOCUMENT),
-        (["decode", "--scorer", "oracle", "--input", "{corpus}"], ROOTED, ROOT_IN_DOCUMENT),
-        (["postprocess", "--input", "{corpus}"], ROOTED,
-         ROOT_IN_DOCUMENT.replace("label 'Root'", "labels ['Root']")),
-        (["evaluate", "--gold", "{corpus}", "--predictions", "{corpus}"], ROOTED, ROOT_AS_LABEL),
-        (["stats", "--split", "train={corpus}"], ROOTED,
-         ROOT_AS_LABEL.replace("'Root'", "'Root' (document 'd1')")),
-        (["linearize", "--input", "{corpus}"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
-        (["linearize", "--input", "{corpus}", "--closure"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
-        (FIT, ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
-        ([*FIT, "--closure"], ROOT_AND_UNKNOWN, ROOT_IN_DOCUMENT),
-    ],
-    ids=[
-        "linearize", "linearize-closure", "fit", "decode-oracle", "postprocess", "evaluate", "stats",
-        "linearize-unknown", "linearize-closure-unknown", "fit-unknown", "fit-closure-unknown",
-    ],
+    "command, bad_set",
+    [(command, ROOTED) for command in LABEL_COMMANDS]
+    + [(command, ROOT_AND_UNKNOWN) for command in LABEL_COMMANDS],
+    ids=[*LABEL_COMMANDS, *(f"{command}-unknown" for command in LABEL_COMMANDS)],
 )
-def test_every_command_rejects_the_root_as_a_label(argv, labels, stderr, tax_file, tmp_path, capsys):
-    corpus = tmp_path / "rooted.jsonl"
-    write_jsonl(corpus, [{"id": "d1", "text": "", "labels": labels}])
-    argv = [arg.format(corpus=corpus, out=tmp_path / "out") for arg in argv]
+def test_every_command_rejects_the_root_as_a_label(command, bad_set, tax_file, tmp_path, capsys):
+    argv, stderr = _label_command(command, bad_set, tmp_path)
     code, out, err = run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:])
     assert (code, out, err) == (1, "", stderr)
     assert not (tmp_path / "out").exists()
+
+
+def test_unknown_label_is_named_alike_under_every_hash_seed(tax_file, tmp_path):
+    # Set iteration order follows PYTHONHASHSEED; the label an error names must not.
+    for command in LABEL_COMMANDS:
+        argv, stderr = _label_command(command, UNKNOWNS, tmp_path)
+        for seed in range(5):
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=str(seed))
+            done = subprocess.run(
+                [sys.executable, "-m", "treedecode.cli", argv[0], "--taxonomy", tax_file, *argv[1:]],
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (command, done.returncode, done.stdout, done.stderr) == (command, 1, "", stderr)
+
+
+def _error_lines(*errors: tuple[str, str]) -> str:
+    return "".join(json.dumps({"error": code, "message": message}) + "\n" for code, message in errors)
+
+
+# A record without labels and one with an unknown label: each is reported, once named.
+MIXED = [{"id": "a", "labels": ["Nope"]}, {"id": "b"}, {"id": "c", "labels": ["Entertainment"]}]
+MIXED_ERRORS = _error_lines(
+    ("UNKNOWN_LABEL", "document 'a': unknown label 'Nope'"),
+    ("CORPUS_FORMAT", "document 'b' has no labels"),
+)
+SEQUENCES = [
+    {"id": "s1", "sequence": "Root Company"},
+    {"id": "s2", "sequence": "Root Business POP"},
+    {"id": "s3", "sequence": 7},
+    {"id": "s4", "sequence": ["Root", "Business"]},
+]
+
+
+@pytest.mark.parametrize(
+    "argv, records, stderr",
+    [
+        (["linearize"], MIXED, MIXED_ERRORS),
+        (["linearize", "--closure"], MIXED, MIXED_ERRORS),
+        (["postprocess"], MIXED, MIXED_ERRORS),
+        (["delinearize"], SEQUENCES, _error_lines(
+            ("INVALID_SEQUENCE", "document 's1': invalid label sequence at position 1: NON_CHILD"),
+            ("CORPUS_FORMAT", "{path}: record 3 needs a sequence string or list of strings, got 7"),
+            ("INVALID_SEQUENCE", "document 's4': invalid label sequence at position 2: UNCLOSED"),
+        )),
+    ],
+    ids=["linearize", "linearize-closure", "postprocess", "delinearize"],
+)
+def test_every_bad_record_is_reported_and_nothing_written(argv, records, stderr, tax_file, tmp_path, capsys):
+    path, out = tmp_path / "records.jsonl", tmp_path / "out.jsonl"
+    write_jsonl(path, records)
+    code, stdout, err = run(capsys, argv[0], "--taxonomy", tax_file, "--input", str(path),
+                            "--output", str(out), *argv[1:])
+    assert (code, stdout, err) == (1, "", stderr.replace("{path}", str(path)))
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -162,6 +162,8 @@ def test_is_consistent(media_tax):
     assert media_tax.is_consistent(set())
     with pytest.raises(UnknownLabelError):
         media_tax.is_consistent({"Music"})
+    with pytest.raises(UnknownLabelError, match=r"^unknown label 'Root'$"):
+        media_tax.is_consistent({"Root", "Entertainment"})
 
 
 def test_ancestor_closure(media_tax):
@@ -170,6 +172,9 @@ def test_ancestor_closure(media_tax):
     }
     assert media_tax.ancestor_closure({"Entertainment"}) == {"Entertainment"}
     assert media_tax.ancestor_closure(set()) == set()
+    # The root is no label: it is named before an unknown label that sorts after it.
+    with pytest.raises(UnknownLabelError, match=r"^unknown label 'Root'$"):
+        media_tax.ancestor_closure({"Root", "Zzz"})
 
 
 def test_closure_properties():
@@ -181,22 +186,25 @@ def test_closure_properties():
         assert seeds <= closed
         assert tax.ancestor_closure(closed) == closed
         assert tax.is_consistent(closed)
-        # Random subsets of all nodes are mostly inconsistent and may hold the root;
-        # both queries must agree with their definitions over whole ancestor chains.
+        # Random label subsets are mostly inconsistent; both queries must agree
+        # with their definitions over whole ancestor chains.
         for _ in range(5):
-            labels = set(rng.sample(tax.nodes, k=rng.randint(0, len(tax.nodes))))
+            labels = set(rng.sample(tax.labels, k=rng.randint(0, len(tax.labels))))
             chains = [set(tax.ancestors(label)) for label in labels]
             assert tax.ancestor_closure(labels) == labels.union(*chains)
             assert tax.is_consistent(labels) == all(chain <= labels for chain in chains)
-            # linearize takes labels only (never the root) and, the empty set
-            # included, rejects exactly the sets that is_consistent rejects.
-            labels.discard(tax.root)
+            # linearize, the empty set included, rejects exactly the sets that is_consistent rejects.
             try:
                 linearize(tax, labels)
             except InconsistentLabelSetError:
                 assert not tax.is_consistent(labels)
             else:
                 assert tax.is_consistent(labels)
+            # No label set holds the root: every query names it, as linearize does.
+            for query in (tax.is_consistent, tax.ancestor_closure, lambda names: linearize(tax, names)):
+                with pytest.raises(UnknownLabelError) as caught:
+                    query(labels | {tax.root})
+                assert caught.value.label == tax.root
 
 
 def test_depth_matches_parent_chain_walk():
@@ -276,7 +284,7 @@ def test_stats_empty_corpus(media_tax):
 
 
 def test_stats_unknown_label_names_document(media_tax):
-    with pytest.raises(UnknownLabelError, match="d7"):
+    with pytest.raises(UnknownLabelError, match=r"^document 'd7': unknown label 'Music'$"):
         dataset_stats(media_tax, {"train": [_doc("d7", {"Music"})]})
 
 
