@@ -24,18 +24,18 @@ then POP), so results are deterministic under exact ties.
 
 A step is list arithmetic over each hypothesis's vocabulary tuple, read
 from its automaton frame (see ``linearizer``) already in that order: no
-set is built, filtered or sorted. The scorer's mapping is read once into a
-list aligned with the tuple, and one list kernel (``_log_softmax``) turns
-it into log probabilities; ``restricted_log_softmax`` and ``sequence_nll``
-use the same kernel. A scorer that declares ``markov_order = 1`` is scored
-once per (last token, vocabulary) per decode. Active hypotheses are plain
-``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)`` pairs,
-and only the final bank becomes ``DecodedSequence`` objects. A step ranks
-its expansions' float totals with one stable sort; a reused memo row adds
-only its ``beam_width`` best plus rounding ties. Only the survivors are
-built, each with one prefix copy and one frame advance, an O(|V|) splice.
-The public ``DecoderState`` keeps the stack and visited labels instead,
-which frames cannot give back.
+set is built, filtered or sorted. One list kernel (``_log_softmax``) reads
+the scorer's mapping once into a list aligned with the tuple, ignoring
+other keys, and turns it into log probabilities; ``restricted_log_softmax``
+and ``sequence_nll`` use the same kernel. A scorer that declares
+``markov_order = 1`` is scored once per (last token, vocabulary) per
+decode. Active hypotheses are plain ``(logprob, tokens, frame)`` tuples,
+banked ones ``(key, tokens)`` pairs, and only the final bank becomes
+``DecodedSequence`` objects. A step ranks its expansions' float totals
+with one stable sort; a reused memo row adds only its ``beam_width`` best
+plus rounding ties. Only the survivors are built, each with one prefix
+copy and one frame advance, an O(|V|) splice. The public ``DecoderState``
+keeps the stack and visited labels instead, which frames cannot give back.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class Scorer(Protocol):
     anchor included) and a candidate set, return a finite raw score for
     every candidate; higher means more likely. Scores need not be
     normalized, must be deterministic for fixed inputs, and must not
-    depend on tokens outside the supplied candidate set. Returning
-    scores for extra tokens is allowed; the decoder masks the mapping
-    down to the candidates.
+    depend on tokens outside the supplied candidate set. Scores for extra
+    tokens are ignored; a candidate without a score is an
+    InvalidScoreError.
 
     The optional class attribute ``markov_order = 1`` promises that scores
     depend only on ``text``, ``prefix[-1]`` and ``candidates``: beam search
@@ -159,16 +159,22 @@ def state_from_prefix(tax: Taxonomy, tokens: Sequence[str]) -> DecoderState:
     return DecoderState(tuple(stack), frozenset(_labels(tax, tokens)))
 
 
-def _log_softmax(tokens: Sequence[str], values: Sequence[float]) -> list[float]:
-    """Log-softmax of ``values``, the raw scores of ``tokens``, as a list aligned with both.
+def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]:
+    """Log-softmax of the raw scores of ``tokens``, as a list aligned with them.
 
-    Numerically stable (max-shifted), hence exactly invariant under
-    adding a constant to all scores. A singleton yields log probability
-    0.0 exactly. This is the only softmax: the public wrappers, the beam
-    and ``sequence_nll`` all run through it.
+    Each token's score is read from ``raw``; other keys are ignored, and a
+    token without a score is an InvalidScoreError. Numerically stable
+    (max-shifted), hence exactly invariant under adding a constant to all
+    scores. A singleton yields log probability 0.0 exactly. This is the only
+    softmax: ``restricted_log_softmax``, the beam and ``sequence_nll`` all
+    run through it.
     """
     if not tokens:
         raise IllegalStateError("empty dynamic vocabulary")
+    try:
+        values = list(map(raw.__getitem__, tokens))
+    except KeyError as missing:
+        raise InvalidScoreError(f"no score for token {missing}") from None
     # A sum is finite when every term is; only a non-finite sum (or an
     # overflow of finite terms) needs the scan that names the culprit.
     if not math.isfinite(sum(values)):
@@ -188,14 +194,12 @@ def _log_softmax(tokens: Sequence[str], values: Sequence[float]) -> list[float]:
 def restricted_log_softmax(
     raw_scores: Mapping[str, float], vocab: Collection[str]
 ) -> dict[str, float]:
-    """Log-softmax over exactly the vocabulary entries; see ``_log_softmax``."""
+    """Log-softmax over the vocabulary entries, which must not repeat; see ``_log_softmax``."""
     tokens = list(vocab)
-    # An empty vocabulary is the kernel's error, whatever the scores cover.
-    if tokens and set(raw_scores) != set(tokens):
-        raise InvalidScoreError(
-            f"scores cover {sorted(raw_scores)} but vocabulary is {sorted(tokens)}"
-        )
-    return dict(zip(tokens, _log_softmax(tokens, [raw_scores[t] for t in tokens])))
+    if len(set(tokens)) < len(tokens):
+        repeated = next(t for i, t in enumerate(tokens) if t in tokens[:i])
+        raise IllegalStateError(f"token {repeated!r} repeats in the vocabulary")
+    return dict(zip(tokens, _log_softmax(raw_scores, tokens)))
 
 
 def restricted_softmax(
@@ -203,18 +207,6 @@ def restricted_softmax(
 ) -> dict[str, float]:
     """Probabilities over the vocabulary: positive, order-preserving, summing to 1."""
     return {t: math.exp(lp) for t, lp in restricted_log_softmax(raw_scores, vocab).items()}
-
-
-def _masked_log_probs(
-    scorer: Scorer, text: str, prefix: tuple[str, ...], candidates: Sequence[str]
-) -> list[float]:
-    """Restricted log probabilities of ``candidates``, as a list aligned with them."""
-    raw = scorer.score(text, prefix, candidates)
-    try:
-        values = list(map(raw.__getitem__, candidates))
-    except KeyError as missing:
-        raise InvalidScoreError(f"scorer returned no score for candidate {missing}") from None
-    return _log_softmax(candidates, values)
 
 
 def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) -> float:
@@ -233,7 +225,7 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     for end, token in enumerate([*gold[1:], EOS], start=1):
         vocab = frame[0]
         index = vocab.index(token)
-        total -= _masked_log_probs(scorer, text, tuple(gold[:end]), vocab)[index]
+        total -= _log_softmax(scorer.score(text, tuple(gold[:end]), vocab), vocab)[index]
         if token != EOS:
             frame = _advance(tax, frame, index)
     return total
@@ -298,7 +290,7 @@ def _beam(
                 spans.append((len(totals), pick := _reused_picks(row, logprob, beam_width)))
                 totals += [logprob + row[0][index] for index in pick]
                 continue
-            log_probs = _masked_log_probs(scorer, text, tokens, frame[0])
+            log_probs = _log_softmax(scorer.score(text, tokens, frame[0]), frame[0])
             if memo is not None:
                 memo[key] = [log_probs, None]
             spans.append((len(totals), range(len(log_probs))))
@@ -363,7 +355,7 @@ def greedy_decode(tax: Taxonomy, scorer: Scorer, text: str) -> DecodedSequence:
 
 def full_alphabet(tax: Taxonomy) -> tuple[str, ...]:
     """Every candidate token: non-root labels plus POP and <eos>, in tie-break order."""
-    return tuple(sorted(tax.labels, key=token_sort_key)) + (EOS, POP)
+    return tuple(sorted((*tax.labels, EOS, POP), key=token_sort_key))
 
 
 def unconstrained_decode(

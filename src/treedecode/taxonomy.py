@@ -69,10 +69,10 @@ class Taxonomy:
         self._parent = parent
         self._depth = depth
         # Every node's start vocabulary, the automaton frame it opens when
-        # pushed: its children in the decoder's tie-break order, then POP
-        # (``<eos>`` for the root). No decode step has to sort or filter.
+        # pushed: its children and POP (``<eos>`` for the root), in the
+        # decoder's tie-break order. No decode step has to sort or filter.
         self._start = {
-            n: (*sorted(children.get(n, ()), key=token_sort_key), EOS if n == root else POP)
+            n: tuple(sorted((*children.get(n, ()), EOS if n == root else POP), key=token_sort_key))
             for n in nodes
         }
 

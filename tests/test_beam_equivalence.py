@@ -64,8 +64,7 @@ def reference_beam(tax, scorer, text, beam_width, constrained):
                 candidates = sorted(vocab, key=token_sort_key)
             else:
                 candidates, vocab = alphabet, frozenset(alphabet)
-            raw = scorer.score(text, tokens, candidates)
-            log_probs = restricted_log_softmax({t: raw[t] for t in candidates}, vocab)
+            log_probs = restricted_log_softmax(scorer.score(text, tokens, candidates), vocab)
             for token, lp in log_probs.items():
                 nxt = step(tax, state, token) if constrained else None
                 expansions.append((tokens + (token,), logprob + lp, nxt))

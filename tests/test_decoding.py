@@ -19,6 +19,7 @@ from conftest import (
     shuffled_taxonomy,
 )
 from treedecode import (
+    BOS,
     EOS,
     POP,
     DecoderState,
@@ -54,14 +55,29 @@ from treedecode.tokens import token_sort_key
 
 
 class EverythingScorer:
-    """Scores the full alphabet regardless of candidates, to exercise decoder masking."""
+    """Scores the full alphabet and two tokens outside it, whatever the candidates.
+
+    The extra scores would change every log probability if the decoder read
+    them: it must read the candidates' scores only.
+    """
 
     def __init__(self, base, tax):
         self.base = base
         self.alphabet = full_alphabet(tax)
+        self.outside = {tax.root: math.inf, BOS: 1e300}
 
     def score(self, text, prefix, candidates):
-        return self.base.score(text, prefix, self.alphabet)
+        return {**self.base.score(text, prefix, self.alphabet), **self.outside}
+
+
+class DroppingScorer:
+    """Uniform scores for every candidate but one token, which never gets a score."""
+
+    def __init__(self, dropped):
+        self.dropped = dropped
+
+    def score(self, text, prefix, candidates):
+        return {t: 0.0 for t in candidates if t != self.dropped}
 
 
 # -- dynamic vocabulary ------------------------------------------------------
@@ -247,8 +263,16 @@ def test_softmax_error_cases():
         restricted_softmax({"a": float("inf")}, frozenset({"a"}))
     with pytest.raises(IllegalStateError):
         restricted_softmax({}, frozenset())
-    with pytest.raises(InvalidScoreError):
+    with pytest.raises(InvalidScoreError, match="no score for token 'b'"):
         restricted_softmax({"a": 0.0}, frozenset({"a", "b"}))
+    with pytest.raises(IllegalStateError, match="token 'a' repeats"):
+        restricted_softmax({"a": 0.0, "b": 0.0}, ["a", "a", "b"])
+
+
+def test_softmax_ignores_scores_outside_the_vocabulary():
+    scores = {"a": 0.5, "b": -1.0}
+    extended = {**scores, "c": 1e300, "d": float("nan")}
+    assert restricted_log_softmax(extended, ["a", "b"]) == restricted_log_softmax(scores, ["a", "b"])
 
 
 # -- sequence NLL ------------------------------------------------------------
@@ -396,7 +420,22 @@ def test_masked_and_restricted_scorers_agree(media_tax):
     for width in (1, 3):
         direct = constrained_beam_search(media_tax, base, "d", width)
         masked = constrained_beam_search(media_tax, wrapped, "d", width)
-        assert [(r.tokens, r.logprob) for r in direct] == [(r.tokens, r.logprob) for r in masked]
+        assert direct == masked
+        assert unconstrained_decode(media_tax, base, "d", width) == unconstrained_decode(
+            media_tax, wrapped, "d", width
+        )
+    gold = TWO_PATH_SEQUENCE
+    assert sequence_nll(media_tax, wrapped, "d", gold) == sequence_nll(media_tax, base, "d", gold)
+
+
+def test_a_candidate_without_a_score_is_an_invalid_score(media_tax):
+    # Constrained, POP is first a candidate after a push, so a later step raises.
+    scorer = DroppingScorer(POP)
+    for decode in (constrained_beam_search, unconstrained_decode):
+        with pytest.raises(InvalidScoreError, match="no score for token 'POP'"):
+            decode(media_tax, scorer, "", 2)
+    with pytest.raises(InvalidScoreError, match="no score for token 'POP'"):
+        sequence_nll(media_tax, scorer, "", TWO_PATH_SEQUENCE)
 
 
 def test_beam_width_must_be_positive(media_tax):
