@@ -19,8 +19,9 @@ The root token opens every sequence deterministically and carries no
 probability mass.
 
 Beam search ranks hypotheses by ``(-logprob, lexicographic tokens)``,
-comparing tokens with ``token_sort_key`` (labels by name, then ``<eos>``,
-then POP), so results are deterministic under exact ties.
+comparing tokens by a rank table built once per taxonomy from
+``token_sort_key`` (labels by name, then ``<eos>``, then POP), so results
+are deterministic under exact ties; a banked key holds a tuple of ranks.
 
 A step is list arithmetic over each hypothesis's vocabulary tuple, read
 from its automaton frame (see ``linearizer``) already in that order: no
@@ -56,7 +57,7 @@ from .errors import (
 )
 from .linearizer import _advance, _labels, _replay, _start_frame, validate_sequence
 from .taxonomy import Taxonomy
-from .tokens import EOS, POP, sequence_sort_key, token_sort_key
+from .tokens import EOS, POP, sequence_sort_key  # noqa: F401 (unused; the benchmark's tracer patches it)
 
 
 class Scorer(Protocol):
@@ -260,12 +261,14 @@ def _beam(
     ``(key, tokens)`` pair, and only the final bank is turned into
     ``DecodedSequence`` objects. ``active`` is kept in lexicographic token
     order. Its hypotheses all have the same length, and each step's
-    candidates come in ``token_sort_key`` order, so an expansion's full key
-    ``(-logprob, sequence_sort_key(tokens))`` orders exactly like
+    candidates come in tie-break order, so an expansion's full key
+    ``(-logprob, ranks)``, its tokens mapped through the taxonomy's rank
+    table (built once from ``token_sort_key``), orders exactly like
     ``(-logprob, parent rank, candidate index)``: the float totals are laid
     out in that order and sorted stably by total alone (a reused memo row
     lays out only what ``_reused_picks`` keeps). The ``beam_width`` best
-    positions, re-sorted, give the next step's ranks. A survivor's token
+    positions, re-sorted, give the next step's ranks; a bisect of the
+    parents' first positions finds each one's parent. A survivor's token
     comes from the vocabulary its parent was just scored over, so it
     advances without a second check. Banked hypotheses differ in length, so
     each gets its full key once, when it is banked.
@@ -277,42 +280,45 @@ def _beam(
     memo = {} if getattr(scorer, "markov_order", None) == 1 else None
     frame = _start_frame(tax) if constrained else (full_alphabet(tax), None)
     active = [(0.0, (tax.root,), frame)]
-    banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, sequence_sort_key), tokens)
+    banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, token ranks), tokens)
     while active:
         if constrained and len(active[0][1]) >= limit:
             raise DecodeOverflowError(
                 f"no <eos> within {limit} tokens; taxonomy has {len(tax)} nodes"
             )
         totals: list[float] = []  # every parent's candidate totals, in (parent rank, index) order
-        spans = []  # per parent rank: (position of its first total, the index at each position)
+        starts, picks = [], []  # per parent rank: its first total's position, its totals' vocabulary indices
         for logprob, tokens, frame in active:
+            starts.append(len(totals))
             if memo is not None and (row := memo.get(key := (tokens[-1], frame[0]))):
-                spans.append((len(totals), pick := _reused_picks(row, logprob, beam_width)))
+                picks.append(pick := _reused_picks(row, logprob, beam_width))
                 totals += [logprob + row[0][index] for index in pick]
                 continue
             log_probs = _log_softmax(scorer.score(text, tokens, frame[0]), frame[0])
             if memo is not None:
                 memo[key] = [log_probs, None]
-            spans.append((len(totals), range(len(log_probs))))
+            picks.append(range(len(log_probs)))
             totals += map(logprob.__add__, log_probs)
         # Stable, so equal totals keep (parent rank, index) order, as their full keys would.
         survivors = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)[:beam_width]
-        parents, active = active, []
-        for position in sorted(survivors):
-            rank = bisect_right(spans, position, key=itemgetter(0)) - 1
-            (_, tokens, frame), (start, pick) = parents[rank], spans[rank]
-            index = pick[position - start]
+        survivors.sort()
+        parents, active, bank_size = active, [], len(banked)
+        for position in survivors:
+            parent = bisect_right(starts, position) - 1
+            _, tokens, frame = parents[parent]
+            index = picks[parent][position - starts[parent]]
             token = frame[0][index]
             tokens += (token,)
             logprob = totals[position]
             if token == EOS or (not constrained and len(tokens) >= limit):
-                banked.append(((-logprob, sequence_sort_key(tokens)), tokens))
+                banked.append(((-logprob, tuple(map(tax._rank.__getitem__, tokens))), tokens))
             elif constrained:
                 active.append((logprob, tokens, _advance(tax, frame, index)))
             else:
                 active.append((logprob, tokens, frame))
-        banked.sort(key=itemgetter(0))
-        del banked[beam_width:]
+        if len(banked) > bank_size:
+            banked.sort(key=itemgetter(0))
+            del banked[beam_width:]
         if (
             len(banked) == beam_width
             and active
@@ -354,8 +360,8 @@ def greedy_decode(tax: Taxonomy, scorer: Scorer, text: str) -> DecodedSequence:
 
 
 def full_alphabet(tax: Taxonomy) -> tuple[str, ...]:
-    """Every candidate token: non-root labels plus POP and <eos>, in tie-break order."""
-    return tuple(sorted((*tax.labels, EOS, POP), key=token_sort_key))
+    """Every candidate token: non-root labels plus POP and <eos>, sorted once by ``token_sort_key``."""
+    return tax._alphabet
 
 
 def unconstrained_decode(

@@ -5,8 +5,9 @@ line; lines starting with ``#`` and blank lines are ignored. Names may not
 contain whitespace, which separates tokens in a rendered sequence. The
 root is the unique node that never appears as a child. Child order is the
 order of first appearance in the file and fixes linearization order; the
-decoder breaks ties by label name, from a per-node start vocabulary
-(children sorted by name, then POP or ``<eos>``) built once with the taxonomy.
+decoder breaks ties by a rank table (labels by name, then ``<eos>``, then POP)
+built once with the taxonomy by ``token_sort_key``, as are its alphabet and
+per-node start vocabularies (children, then POP or ``<eos>``), in rank order.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class Taxonomy:
     construction skips validation and is not supported.
     """
 
-    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_start")
+    __slots__ = ("_root", "_parent", "_children", "_depth", "_nodes", "_rank", "_alphabet", "_start")
 
     def __init__(
         self,
@@ -68,12 +69,15 @@ class Taxonomy:
         self._nodes = nodes
         self._parent = parent
         self._depth = depth
-        # Every node's start vocabulary, the automaton frame it opens when
-        # pushed: its children and POP (``<eos>`` for the root), in the
-        # decoder's tie-break order. No decode step has to sort or filter.
+        # The decoder's tie-break order as data, from one sort by ``token_sort_key``: each token's
+        # rank, the non-root alphabet, and every node's start vocabulary (the automaton frame it
+        # opens when pushed: its children, then POP or ``<eos>`` for the root), all in rank order.
+        order = sorted((*nodes, EOS, POP), key=token_sort_key)
+        self._rank = {token: i for i, token in enumerate(order)}
+        self._alphabet = tuple([token for token in order if token != root])
+        rank = self._rank.__getitem__
         self._start = {
-            n: tuple(sorted((*children.get(n, ()), EOS if n == root else POP), key=token_sort_key))
-            for n in nodes
+            n: tuple(sorted((*children.get(n, ()), EOS if n == root else POP), key=rank)) for n in nodes
         }
 
     @classmethod
@@ -198,6 +202,9 @@ class Taxonomy:
 def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
     edges: list[tuple[str, str]] = []
     issues: list[Issue] = []
+    if text.startswith("\ufeff"):  # rejected like a BOM in a corpus file, and kept out of the first name
+        issues.append(Issue("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)"))
+        text = text[1:]
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):

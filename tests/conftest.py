@@ -69,6 +69,19 @@ def shuffled_taxonomy(rng: random.Random, n_nodes: int, max_depth: int = 6) -> T
     return Taxonomy.from_edges(edges)
 
 
+# Names that fall between or next to ``<eos>`` and ``POP`` as plain strings,
+# where plain string order and the tie-break order disagree.
+STRADDLING_NAMES = ("<a", "<f", "<eos0", "POO", "POQ", "POP0", "Z", "a", "eos", "pop")
+
+
+def straddling_taxonomy(rng: random.Random, n_nodes: int) -> Taxonomy:
+    """``shuffled_taxonomy`` with up to ten labels renamed from ``STRADDLING_NAMES``."""
+    tree = shuffled_taxonomy(rng, n_nodes)
+    names = dict(zip(rng.sample(tree.labels, k=len(tree.labels)), STRADDLING_NAMES))
+    edges = [(p, c) for p in tree.nodes for c in tree.children(p)]
+    return Taxonomy.from_edges([(names.get(p, p), names.get(c, c)) for p, c in edges])
+
+
 def random_consistent_labels(rng: random.Random, tax: Taxonomy, max_seeds: int = 4) -> set[str]:
     """Non-empty consistent label set: a few random nodes plus their ancestor paths."""
     labels = tax.labels

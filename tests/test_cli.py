@@ -313,6 +313,20 @@ def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, cap
     assert json.loads(err)["error"] == "INVALID_TAXONOMY"
 
 
+def test_taxonomy_with_a_byte_order_mark_is_an_encoding_issue(tmp_path, corpus_file, capsys):
+    # Without the check the mark joins the first name: this file had two roots, '\ufeffRoot' and 'Root'.
+    marked = tmp_path / "bom.tsv"
+    marked.write_bytes(b"\xef\xbb\xbf" + MEDIA_EDGES.encode("utf-8"))
+    code, out, _ = run(capsys, "validate", "--taxonomy", str(marked))
+    assert code == 1
+    assert [issue["code"] for issue in json.loads(out)["issues"]] == ["ENCODING"]
+    code, out, err = run(capsys, "linearize", "--taxonomy", str(marked), "--input", corpus_file)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"] == "INVALID_TAXONOMY"
+    assert "ENCODING" in json.loads(err)["message"]
+
+
 def test_decode_unconstrained_reports_inconsistent(tax_file, corpus_file, tmp_path, capsys):
     predictions = tmp_path / "pred.jsonl"
     code, _, err = run(

@@ -17,6 +17,7 @@ from conftest import (
     random_consistent_labels,
     random_taxonomy,
     shuffled_taxonomy,
+    straddling_taxonomy,
 )
 from treedecode import (
     BOS,
@@ -133,9 +134,19 @@ def test_vocabulary_tuple_is_in_tie_break_order():
     assert _vocabulary(tax, initial_state(tax)) == ("A", "B", EOS)
     assert _vocabulary(tax, state_from_prefix(tax, ["Root", "B"])) == ("B1", "B2", POP)
     assert _vocabulary(tax, state_from_prefix(tax, ["Root", "B", "B1", POP])) == ("B2", POP)
+    # As plain strings "<a" < "<eos>" < "<f" and "POO" < "POP" < "POQ"; every label still comes first.
+    tax = Taxonomy.from_edges(
+        [("Root", "<f"), ("Root", "POQ"), ("Root", "a"), ("Root", "<a"), ("Root", "POO"),
+         ("POO", "pop"), ("POO", "eos"), ("POO", "Z")]
+    )
+    assert _vocabulary(tax, initial_state(tax)) == ("<a", "<f", "POO", "POQ", "a", EOS)
+    assert _vocabulary(tax, state_from_prefix(tax, ["Root", "POO"])) == ("Z", "eos", "pop", POP)
     rng = random.Random(43)
-    for _ in range(20):
-        tax = shuffled_taxonomy(rng, rng.randint(2, 9))
+    for n_nodes in [rng.randint(2, 9) for _ in range(40)]:
+        tax = (shuffled_taxonomy if n_nodes % 2 else straddling_taxonomy)(rng, n_nodes)
+        for node in tax.nodes:
+            end = EOS if node == tax.root else POP
+            assert tax._start[node] == tuple(sorted((*tax.children(node), end), key=token_sort_key))
         for witness in oracle_reachable_states(tax).values():
             state = state_from_prefix(tax, witness)
             expected = tuple(sorted(dynamic_vocabulary(tax, state), key=token_sort_key))

@@ -1,11 +1,18 @@
 from __future__ import annotations
 
+import itertools
 import math
 import random
 
 import pytest
 
-from conftest import TWO_PATH_SEQUENCE, random_consistent_labels, random_taxonomy
+from conftest import (
+    TWO_PATH_SEQUENCE,
+    random_consistent_labels,
+    random_taxonomy,
+    shuffled_taxonomy,
+    straddling_taxonomy,
+)
 from treedecode import (
     EOS,
     POP,
@@ -22,6 +29,7 @@ from treedecode import (
     linearize,
     restricted_softmax,
 )
+from treedecode.tokens import sequence_sort_key, token_sort_key
 
 
 def test_uniform_scorer_probabilities():
@@ -187,3 +195,21 @@ def test_full_alphabet_order(media_tax):
     assert full_alphabet(media_tax) == (
         "Action", "Business", "Company", "Documentary", "Entertainment", "Movie", EOS, POP,
     )
+    # As plain strings "<a" < "<eos>" < "<f" and "POO" < "POP" < "POQ"; every label still comes first.
+    tax = Taxonomy.from_edges([("Root", name) for name in ("pop", "POQ", "<f", "POO", "a", "<a")])
+    assert full_alphabet(tax) == ("<a", "<f", "POO", "POQ", "a", "pop", EOS, POP)
+    rng = random.Random(71)
+    for n_nodes in [rng.randint(2, 9) for _ in range(40)]:
+        tax = (shuffled_taxonomy if n_nodes % 2 else straddling_taxonomy)(rng, n_nodes)
+        alphabet = full_alphabet(tax)
+        assert alphabet == tuple(sorted((*tax.labels, EOS, POP), key=token_sort_key))
+        # The decoder banks tuples of ranks; they must order sequences, prefixes included,
+        # exactly as sequence_sort_key does.
+        sequences = []
+        for _ in range(30):
+            tokens = (tax.root, *rng.choices(alphabet, k=rng.randint(0, 6)))
+            sequences += [tokens, tokens[: rng.randint(1, len(tokens))]]
+        for a, b in itertools.product(sequences, repeat=2):
+            ranks_a, ranks_b = (tuple(map(tax._rank.__getitem__, s)) for s in (a, b))
+            assert (ranks_a < ranks_b) == (sequence_sort_key(a) < sequence_sort_key(b)), (a, b)
+            assert (ranks_a == ranks_b) == (a == b), (a, b)

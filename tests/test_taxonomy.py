@@ -100,6 +100,14 @@ def _issues(*pairs: tuple[str, str]) -> dict:
             ),
         ),
         ("", _issues(("EMPTY", "no edges found"))),
+        (  # the mark would otherwise become part of the first name
+            "\ufeffRoot\tA\nA\tB\n",
+            _issues(("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)")),
+        ),
+        (  # and make the second Root line a second root
+            "\ufeffRoot\tA\nRoot\tB\n",
+            _issues(("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)")),
+        ),
         (  # the line is stripped before the split, so a blank field leaves one field
             "Root\tA\n\tB\nC\t \n",
             _issues(
@@ -108,7 +116,7 @@ def _issues(*pairs: tuple[str, str]) -> dict:
             ),
         ),
     ],
-    ids=["structural", "lines-and-structural", "empty", "blank-fields"],
+    ids=["structural", "lines-and-structural", "empty", "bom", "bom-repeated-root", "blank-fields"],
 )
 def test_full_validation_report(text, expected):
     assert validate_taxonomy(text).to_dict() == expected
