@@ -8,7 +8,8 @@ Company} becomes
 ``Root Entertainment Movie Documentary POP POP POP Business Company POP POP``.
 
 The root opens the sequence and is never popped; termination is the
-decoder's ``<eos>``, which is not part of the stored sequence.
+decoder's ``<eos>``, which is not part of the stored sequence. ``_walk``
+is the one emission order, run by ``linearize`` and ``fit_bigram_scorer``.
 
 This module owns the stack automaton. Its state is a chain of frames,
 one per open label: a frame is ``(vocabulary, frame below)``, where the
@@ -55,19 +56,23 @@ def linearize(tax: Taxonomy, labels: Iterable[str]) -> list[str]:
     A label that is unknown or the root raises UnknownLabelError, the first
     in name order; an inconsistent set then raises InconsistentLabelSetError
     rather than being repaired (apply Taxonomy.ancestor_closure first).
+    The order is ``_walk``'s, the one that ``scorers.fit_bigram_scorer`` counts.
     """
-    members = set(labels)
-    tax._require_labels(members)
+    return _walk(tax, tax._require_labels(set(labels)))
 
+
+def _walk(tax: Taxonomy, members: set[str]) -> list[str]:
+    """The sequence of label-checked ``members``, in the one emission order."""
+    children = tax._children
     # Depth-first with an explicit stack of child iterators, so depth is
     # bounded by memory rather than the interpreter's recursion limit.
     tokens = [tax.root]
-    pending = [iter(tax.children(tax.root))]
+    pending = [iter(children.get(tax.root, ()))]
     while pending:
         for child in pending[-1]:
             if child in members:
                 tokens.append(child)
-                pending.append(iter(tax.children(child)))
+                pending.append(iter(children.get(child, ())))
                 break
         else:
             pending.pop()

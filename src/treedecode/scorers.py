@@ -13,13 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import pairwise
+from itertools import chain, pairwise
 from pathlib import Path
 
 from .decoding import full_alphabet
 from .errors import EmptyCorpusError, ModelFormatError
-from .linearizer import linearize
+from .linearizer import _walk
 from .taxonomy import Taxonomy
 from .tokens import EOS
 
@@ -169,23 +170,29 @@ def fit_bigram_scorer(
     *,
     closure: bool = False,
 ) -> BigramScorer:
-    """Count token transitions over the linearized gold sets of a corpus.
+    """Count token transitions over the canonical sequences (``linearizer._walk``) of a corpus.
 
-    Each document contributes the transitions of its canonical sequence,
-    terminal ``<eos>`` included. Inconsistent label sets are an error
-    unless ``closure=True``, which repairs them with the ancestor closure
-    and reports how many documents needed it via ``repaired_docs``.
+    Documents are read lazily and each adds its sequence's transitions, terminal
+    ``<eos>`` included. Inconsistent label sets are an error unless ``closure=True``,
+    which repairs them with the ancestor closure and counts them in ``repaired_docs``.
     """
-    counts: dict[str, dict[str, int]] = {}
     repaired = 0
-    for text, labels in corpus:
-        label_set = set(labels)
-        closed = tax.ancestor_closure(label_set) if closure else label_set
-        repaired += len(closed) > len(label_set)
-        sequence = linearize(tax, closed) + [EOS]
-        for prev, nxt in pairwise(sequence):
-            context = counts.setdefault(prev, {})
-            context[nxt] = context.get(nxt, 0) + 1
-    if not counts:  # every document adds at least the transition root -> <eos>
+
+    def sequences():  # one document's tokens at a time, so memory does not grow with the corpus
+        nonlocal repaired
+        for text, labels in corpus:
+            label_set = set(labels)
+            members = tax.ancestor_closure(label_set) if closure else tax._require_labels(label_set)
+            repaired += len(members) > len(label_set)
+            tokens = _walk(tax, members)
+            tokens.append(EOS)
+            yield tokens
+
+    pairs = Counter(pairwise(chain.from_iterable(sequences())))
+    pairs.pop((EOS, tax.root), None)  # not a transition: one document's end meeting the next one's start
+    if not pairs:  # every document adds at least the transition root -> <eos>
         raise EmptyCorpusError("cannot fit a bigram scorer on an empty corpus")
+    counts: dict[str, dict[str, int]] = {}
+    for (prev, nxt), n in pairs.items():
+        counts.setdefault(prev, {})[nxt] = n
     return BigramScorer(full_alphabet(tax), counts, repaired)

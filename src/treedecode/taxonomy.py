@@ -126,11 +126,12 @@ class Taxonomy:
         if node not in self._depth:
             raise UnknownLabelError(node)
 
-    def _require_labels(self, names: set[str], document: str | None = None) -> None:
-        """Raise UnknownLabelError naming the first of ``names``, in name order, that is unknown or the root."""
+    def _require_labels(self, names: set[str], document: str | None = None) -> set[str]:
+        """Return ``names``, or raise UnknownLabelError naming the first, in name order, that is unknown or the root."""
         unknown = names.difference(self._parent)
         if unknown:
             raise UnknownLabelError(min(unknown), document)
+        return names
 
     def parent(self, node: str) -> str | None:
         """Parent name, or None for the root."""
@@ -164,8 +165,7 @@ class Taxonomy:
 
         Raises UnknownLabelError for the first member in name order that is unknown or the root.
         """
-        members = set(labels)
-        self._require_labels(members)
+        members = self._require_labels(set(labels))
         # Testing each member's parent is enough: induction covers the rest of its chain.
         members.add(self._root)
         return all(self._parent.get(label, self._root) in members for label in members)
@@ -175,8 +175,7 @@ class Taxonomy:
 
         Raises UnknownLabelError for the first member in name order that is unknown or the root.
         """
-        closed = set(labels)
-        self._require_labels(closed)
+        closed = self._require_labels(set(labels))
         for label in tuple(closed):
             # A label already in the set gets its chain when the loop reaches it, if not before.
             parent = self._parent[label]
@@ -205,7 +204,8 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
     if text.startswith("\ufeff"):  # rejected like a BOM in a corpus file, and kept out of the first name
         issues.append(Issue("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)"))
         text = text[1:]
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Only \n, \r\n and \r end a line, as in a file the CLI reads; str.splitlines() also splits at \v, U+2028...
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

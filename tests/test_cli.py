@@ -138,7 +138,8 @@ def test_fit_inconsistent_corpus_requires_closure(tax_file, tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["fit"], ["decode", "--scorer", "oracle"]], ids=["fit", "decode-oracle"])
 def test_a_bad_gold_set_is_reported_with_its_document(argv, tax_file, tmp_path, capsys):
     corpus, out = tmp_path / "corpus.jsonl", tmp_path / "out.json"
-    write_jsonl(corpus, [{"id": "a", "labels": ["Entertainment"]}, {"id": "b", "labels": ["Documentary"]}])
+    rows = [{"id": "a", "labels": ["Entertainment"]}, {"id": "b", "labels": ["Documentary"]}]
+    write_jsonl(corpus, [*rows, {"id": "c", "labels": ["Company"]}])  # c is bad too, but b comes first
     code, stdout, err = run(
         capsys, *argv, "--taxonomy", tax_file, "--input", str(corpus), "--output", str(out)
     )

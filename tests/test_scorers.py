@@ -191,6 +191,42 @@ def test_bigram_inconsistent_corpus(media_tax):
     assert repaired.counts == direct.counts
 
 
+def _reference_fit(tax, corpus, closure):
+    """Per-document ``linearize`` plus ``itertools.pairwise``, independent of fit's one-pass count."""
+    counts, repaired = {}, 0
+    for _, labels in corpus:
+        closed = tax.ancestor_closure(labels) if closure else set(labels)
+        repaired += len(closed) > len(set(labels))
+        for prev, nxt in itertools.pairwise(linearize(tax, closed) + [EOS]):
+            counts.setdefault(prev, {})
+            counts[prev][nxt] = counts[prev].get(nxt, 0) + 1
+    return BigramScorer(full_alphabet(tax), counts, repaired)
+
+
+@pytest.mark.parametrize("closure", [False, True], ids=["consistent", "closure"])
+@pytest.mark.parametrize("make_tree", [shuffled_taxonomy, straddling_taxonomy])
+def test_fit_equals_an_independent_count(make_tree, closure, tmp_path):
+    rng = random.Random(19)
+    repairs = 0
+    for trial in range(25):
+        tax = make_tree(rng, rng.randint(2, 24))
+        sets = [set(), set(), *(random_consistent_labels(rng, tax) for _ in range(6))]
+        if closure:  # members whose ancestors are missing, the empty set among them
+            sets += [set(rng.sample(tax.labels, k=rng.randint(0, len(tax.labels)))) for _ in range(6)]
+        sets += rng.sample(sets, k=4)  # repeated sets
+        rng.shuffle(sets)
+        corpus = [(f"doc {i}", labels) for i, labels in enumerate(sets)]
+        fitted = fit_bigram_scorer(tax, iter(corpus), closure=closure)
+        reference = _reference_fit(tax, corpus, closure)
+        assert fitted.to_dict() == reference.to_dict()
+        assert fitted.repaired_docs == reference.repaired_docs
+        repairs += fitted.repaired_docs
+        fitted.save(tmp_path / "fitted.json")
+        reference.save(tmp_path / "reference.json")
+        assert (tmp_path / "fitted.json").read_bytes() == (tmp_path / "reference.json").read_bytes()
+    assert (repairs > 0) == closure
+
+
 def test_full_alphabet_order(media_tax):
     assert full_alphabet(media_tax) == (
         "Action", "Business", "Company", "Documentary", "Entertainment", "Movie", EOS, POP,

@@ -47,6 +47,11 @@ def test_comments_and_blank_lines_ignored():
     assert tax.children("Root") == ("A", "B")
 
 
+@pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_line_ends_parse_like_lf(newline):
+    assert parse_taxonomy(MEDIA_EDGES.replace("\n", newline)) == parse_taxonomy(MEDIA_EDGES)
+
+
 @pytest.mark.parametrize(
     "text,code",
     [
@@ -115,8 +120,23 @@ def _issues(*pairs: tuple[str, str]) -> dict:
                 ("EMPTY", "line 3: expected parent<TAB>child, got 1 fields"),
             ),
         ),
+        # Only \n, \r\n and \r end a line, as under universal newlines; str.splitlines() would
+        # also break at these, name the wrong line and lose the whitespace name.
+        ("Root\tA\nA\tB\x0bC\n", _issues(("WHITESPACE_NAME", "'B\\x0bC' contains whitespace"))),
+        ("Root\tA\nA\tB\x85C\n", _issues(("WHITESPACE_NAME", "'B\\x85C' contains whitespace"))),
+        ("Root\tA\nA\tB\u2028C\n", _issues(("WHITESPACE_NAME", "'B\\u2028C' contains whitespace"))),
+        (  # \r\n and a lone \r still end lines, and are counted as one line each
+            "Root\tA\r\nA B\rA\tC\r\nC D\n",
+            _issues(
+                ("EMPTY", "line 2: expected parent<TAB>child, got 1 fields"),
+                ("EMPTY", "line 4: expected parent<TAB>child, got 1 fields"),
+            ),
+        ),
     ],
-    ids=["structural", "lines-and-structural", "empty", "bom", "bom-repeated-root", "blank-fields"],
+    ids=[
+        "structural", "lines-and-structural", "empty", "bom", "bom-repeated-root", "blank-fields",
+        "vertical-tab", "next-line", "line-separator", "crlf-and-cr",
+    ],
 )
 def test_full_validation_report(text, expected):
     assert validate_taxonomy(text).to_dict() == expected
