@@ -144,13 +144,12 @@ def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
         if args.model is None:
             raise TreeDecodeError("--scorer bigram requires --model")
         loaded = BigramScorer.load(args.model)
-        alphabet = decoding.full_alphabet(tax)
-        if loaded.alphabet != alphabet:
-            only_model = sorted(set(loaded.alphabet) - set(alphabet))
-            only_taxonomy = sorted(set(alphabet) - set(loaded.alphabet))
+        # Scores read the counts and the alphabet's size only, so its order carries no meaning.
+        model, taxonomy = set(loaded.alphabet), set(decoding.full_alphabet(tax))
+        if model != taxonomy:
             raise ModelMismatchError(
                 f"{args.model} does not fit this taxonomy: its alphabet differs (only in the "
-                f"model {only_model[:5]}, only in the taxonomy {only_taxonomy[:5]})"
+                f"model {sorted(model - taxonomy)[:5]}, only in the taxonomy {sorted(taxonomy - model)[:5]})"
             )
         return loaded
     return None

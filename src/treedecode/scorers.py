@@ -15,10 +15,9 @@ import json
 import math
 from collections import Counter
 from collections.abc import Iterable, Sequence
-from itertools import chain, pairwise
+from itertools import pairwise
 from pathlib import Path
 
-from .decoding import full_alphabet
 from .errors import EmptyCorpusError, ModelFormatError
 from .linearizer import _walk
 from .taxonomy import Taxonomy
@@ -90,7 +89,9 @@ class BigramScorer:
     one shared value for every uncounted token, each computed exactly as
     ``math.log(probability(prev, token))``. The counts are not meant to
     change after construction. Scores read only ``prefix[-1]``, so the
-    class declares ``markov_order = 1`` (see ``decoding.Scorer``).
+    class declares ``markov_order = 1`` (see ``decoding.Scorer``). Only
+    the alphabet's size enters a probability, so its order carries no
+    meaning; ``load`` rejects an empty alphabet or a repeated token.
     """
 
     markov_order = 1
@@ -107,16 +108,15 @@ class BigramScorer:
         self._totals = {prev: sum(nxt.values()) for prev, nxt in counts.items()}
         self._log_rows: dict[str, tuple[dict[str, float], float]] = {}
 
+    def _add_one(self, prev: str, count: int) -> float:
+        return (count + 1) / (self._totals.get(prev, 0) + len(self.alphabet))
+
     def probability(self, prev: str, token: str) -> float:
-        context = self.counts.get(prev, {})
-        total = self._totals.get(prev, 0)
-        return (context.get(token, 0) + 1) / (total + len(self.alphabet))
+        return self._add_one(prev, self.counts.get(prev, {}).get(token, 0))
 
     def _log_row(self, prev: str) -> tuple[dict[str, float], float]:
-        denominator = self._totals.get(prev, 0) + len(self.alphabet)
-        context = self.counts.get(prev, {})
-        counted = {token: math.log((n + 1) / denominator) for token, n in context.items()}
-        return counted, math.log(1 / denominator)
+        counted = {t: math.log(self._add_one(prev, n)) for t, n in self.counts.get(prev, {}).items()}
+        return counted, math.log(self._add_one(prev, 0))
 
     def score(self, text, prefix, candidates):
         prev = prefix[-1]
@@ -127,12 +127,8 @@ class BigramScorer:
         return {token: counted.get(token, unseen) for token in candidates}
 
     def to_dict(self) -> dict:
-        return {
-            "alphabet": list(self.alphabet),
-            "counts": {
-                prev: dict(sorted(nxt.items())) for prev, nxt in sorted(self.counts.items())
-            },
-        }
+        counts = {prev: dict(nxt) for prev, nxt in self.counts.items()}
+        return {"alphabet": list(self.alphabet), "counts": counts}
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(
@@ -149,8 +145,12 @@ class BigramScorer:
         if not isinstance(data, dict) or "alphabet" not in data or "counts" not in data:
             raise ModelFormatError(f"{path}: expected an object with 'alphabet' and 'counts'")
         alphabet, counts = data["alphabet"], data["counts"]
-        if not isinstance(alphabet, list) or not all(isinstance(t, str) for t in alphabet):
-            raise ModelFormatError(f"{path}: 'alphabet' must be a list of strings")
+        if not (
+            isinstance(alphabet, list)
+            and all(isinstance(t, str) for t in alphabet)
+            and 0 < len(set(alphabet)) == len(alphabet)  # add-one divides by 0, or counts a token twice
+        ):
+            raise ModelFormatError(f"{path}: 'alphabet' must be a non-empty list of distinct strings")
         known = set(alphabet)  # next tokens only: the root is a context outside the alphabet
         if not isinstance(counts, dict) or not all(
             isinstance(row, dict)
@@ -172,27 +172,20 @@ def fit_bigram_scorer(
 ) -> BigramScorer:
     """Count token transitions over the canonical sequences (``linearizer._walk``) of a corpus.
 
-    Documents are read lazily and each adds its sequence's transitions, terminal
-    ``<eos>`` included. Inconsistent label sets are an error unless ``closure=True``,
-    which repairs them with the ancestor closure and counts them in ``repaired_docs``.
+    Documents are read lazily; each is walked and its transitions, terminal ``<eos>``
+    included, are counted before the next is read. Inconsistent label sets are an error
+    unless ``closure=True``, which repairs them with the ancestor closure (``repaired_docs``).
     """
+    pairs: Counter[tuple[str, str]] = Counter()
     repaired = 0
-
-    def sequences():  # one document's tokens at a time, so memory does not grow with the corpus
-        nonlocal repaired
-        for text, labels in corpus:
-            label_set = set(labels)
-            members = tax.ancestor_closure(label_set) if closure else tax._require_labels(label_set)
-            repaired += len(members) > len(label_set)
-            tokens = _walk(tax, members)
-            tokens.append(EOS)
-            yield tokens
-
-    pairs = Counter(pairwise(chain.from_iterable(sequences())))
-    pairs.pop((EOS, tax.root), None)  # not a transition: one document's end meeting the next one's start
+    for _, labels in corpus:
+        label_set = set(labels)
+        members = tax.ancestor_closure(label_set) if closure else tax._require_labels(label_set)
+        repaired += len(members) > len(label_set)
+        pairs.update(pairwise([*_walk(tax, members), EOS]))
     if not pairs:  # every document adds at least the transition root -> <eos>
         raise EmptyCorpusError("cannot fit a bigram scorer on an empty corpus")
     counts: dict[str, dict[str, int]] = {}
     for (prev, nxt), n in pairs.items():
         counts.setdefault(prev, {})[nxt] = n
-    return BigramScorer(full_alphabet(tax), counts, repaired)
+    return BigramScorer(tax._alphabet, counts, repaired)

@@ -248,6 +248,8 @@ def _index(edges: Sequence[tuple[str, str]], issues: list[Issue]) -> tuple[Valid
         # such a name could not be read back from a sequence.
         if any(map(str.isspace, name)):
             issues.append(Issue("WHITESPACE_NAME", f"{name!r} contains whitespace"))
+        if name.startswith("#"):  # its line would be read back as a comment
+            issues.append(Issue("COMMENT_NAME", f"{name!r} starts with '#', which marks a comment line"))
     issues += duplicates
 
     for child, parents in sorted(parents_of.items()):

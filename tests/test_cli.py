@@ -274,6 +274,8 @@ MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment
         pytest.param({"alphabet": MEDIA_ALPHABET}, id="no-counts"),
         pytest.param({"alphabet": "Action", "counts": {}}, id="alphabet-string"),
         pytest.param({"alphabet": [*MEDIA_ALPHABET, 7], "counts": {}}, id="alphabet-number"),
+        pytest.param({"alphabet": [], "counts": {}}, id="alphabet-empty"),
+        pytest.param({"alphabet": [*MEDIA_ALPHABET, "Action"], "counts": {}}, id="alphabet-repeated"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": []}, id="counts-list"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": 3}}, id="row-number"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": "3"}}}, id="count-string"),
@@ -298,6 +300,24 @@ def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file,
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "MODEL_FORMAT"
+
+
+def test_decode_bigram_reads_a_model_alphabet_in_any_order(tax_file, corpus_file, tmp_path, capsys):
+    # Scores read only the counts and the alphabet's size, so its order carries no meaning.
+    model, reversed_model = tmp_path / "model.json", tmp_path / "reversed.json"
+    code, _, _ = run(capsys, "fit", "--taxonomy", tax_file, "--input", corpus_file, "--output", str(model))
+    assert code == 0
+    data = json.loads(model.read_text())
+    data["alphabet"].reverse()
+    reversed_model.write_text(json.dumps(data))
+    outputs = []
+    for path in (model, reversed_model):
+        predictions = tmp_path / f"{path.stem}.pred.jsonl"
+        code, _, _ = run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
+                         "--output", str(predictions), "--scorer", "bigram", "--model", str(path))
+        assert code == 0
+        outputs.append(predictions.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, capsys):

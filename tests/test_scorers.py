@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
 import random
 
@@ -19,6 +20,7 @@ from treedecode import (
     BigramScorer,
     EmptyCorpusError,
     InconsistentLabelSetError,
+    ModelFormatError,
     OracleScorer,
     RandomScorer,
     Taxonomy,
@@ -144,6 +146,22 @@ def test_bigram_persistence_round_trip(media_tax, tmp_path):
     other = tmp_path / "model2.json"
     refit.save(other)
     assert path.read_bytes() == other.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "alphabet",
+    # Empty, a decode divided by zero; with 'A' twice, P(. | Root) summed to 0.875 on this model.
+    [[], ["A", "A", "B", "C", EOS, POP]],
+    ids=["empty", "repeated"],
+)
+def test_bigram_load_rejects_an_empty_or_repeated_alphabet(alphabet, tmp_path):
+    tax = Taxonomy.from_edges([("Root", "A"), ("A", "B"), ("Root", "C")])
+    model = fit_bigram_scorer(tax, [("", {"A", "B"}), ("", {"C"})]).to_dict()
+    model["alphabet"] = alphabet
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    with pytest.raises(ModelFormatError, match="non-empty list of distinct strings"):
+        BigramScorer.load(path)
 
 
 def test_bigram_cached_rows_equal_the_formula_bit_for_bit(media_tax, tmp_path):

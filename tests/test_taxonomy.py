@@ -132,10 +132,14 @@ def _issues(*pairs: tuple[str, str]) -> dict:
                 ("EMPTY", "line 4: expected parent<TAB>child, got 1 fields"),
             ),
         ),
+        (  # the second line is a comment, so B was silently lost; '#' inside a name stays legal
+            "Root\t#A\n#A\tB\nRoot\ta#b\n",
+            _issues(("COMMENT_NAME", "'#A' starts with '#', which marks a comment line")),
+        ),
     ],
     ids=[
         "structural", "lines-and-structural", "empty", "bom", "bom-repeated-root", "blank-fields",
-        "vertical-tab", "next-line", "line-separator", "crlf-and-cr",
+        "vertical-tab", "next-line", "line-separator", "crlf-and-cr", "comment-name",
     ],
 )
 def test_full_validation_report(text, expected):
@@ -164,6 +168,15 @@ def test_whitespace_names_are_rejected_by_every_constructor():
         with pytest.raises(InvalidTaxonomyError) as caught:
             build()
         assert caught.value.report.codes() == {"WHITESPACE_NAME"}
+
+
+def test_a_name_that_starts_with_a_comment_mark_is_rejected():
+    # Rendered, the edge '#A' -> 'B' would be read back as a comment line.
+    with pytest.raises(InvalidTaxonomyError) as caught:
+        Taxonomy.from_edges([("Root", "#A"), ("#A", "B")])
+    assert caught.value.report.codes() == {"COMMENT_NAME"}
+    tax = Taxonomy.from_edges([("Root", "a#b"), ("a#b", "B#")])
+    assert parse_taxonomy(tax.render_edges()) == tax
 
 
 def test_children(media_tax):
