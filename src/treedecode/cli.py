@@ -8,13 +8,18 @@ be called repeatedly in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
+import io
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import decoding, metrics, taxonomy
-from .corpus import read_documents, records_with_ids, required_labels, write_jsonl
+from .corpus import iter_documents, read_documents, records_with_ids, replacing, required_labels
 from .errors import (
     AlignmentError,
     CorpusFormatError,
@@ -29,6 +34,13 @@ from .linearizer import delinearize, linearize
 from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
 from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
 from .tokens import parse_sequence, render_sequence
+
+
+DECODE_BLOCK = 1024  # records decode holds at a time
+
+
+class _Reported(Exception):
+    """Raised once a command's errors are on stderr: it exits 1 and writes nothing."""
 
 
 def _report(code: str, message: object, document: str | None = None) -> None:
@@ -49,29 +61,39 @@ def _load_taxonomy(path: str) -> Taxonomy:
     return parse_taxonomy(_taxonomy_text(path))
 
 
-def _write_rows(path: str, rows: list[dict]) -> None:
-    if path == "-":
-        for row in rows:
-            print(json.dumps(row))
-    else:
-        write_jsonl(path, rows)
+@contextlib.contextmanager
+def _output(path: str):
+    """A text handle for a command's output, which is written only if the block raises nothing.
+
+    ``-`` is stdout, buffered until then; any other path is written through ``replacing``.
+    """
+    if path != "-":
+        with replacing(path) as handle:
+            yield handle
+        return
+    buffer = io.StringIO()
+    yield buffer
+    sys.stdout.write(buffer.getvalue())
 
 
-def _write_each(path: str, records: list[tuple[str, object]], row) -> int:
-    """Write ``{"id": id, **row(record)}`` for every ``(id, record)`` and return exit code 0,
-    or report every record that fails, write nothing and return 1."""
-    rows = []
-    for doc_id, record in records:
-        try:
-            rows.append({"id": doc_id, **row(record)})
-        except CorpusFormatError as err:  # names its record itself
-            _report(err.code, err)
-        except TreeDecodeError as err:
-            _report(err.code, err, doc_id)
-    if len(rows) < len(records):
-        return 1
-    _write_rows(path, rows)
-    return 0
+def _write_each(path: str, records: Iterable[tuple[str, object]], row) -> None:
+    """Write ``{"id": id, **row(record)}`` for every ``(id, record)`` as it is read, or report
+    every record that fails and raise ``_Reported``, so that nothing is written."""
+    failed = False
+    with _output(path) as out:
+        for doc_id, record in records:
+            try:
+                fields = row(record)
+            except CorpusFormatError as err:  # names its record itself
+                _report(err.code, err)
+                failed = True
+            except TreeDecodeError as err:
+                _report(err.code, err, doc_id)
+                failed = True
+            else:
+                out.write(json.dumps({"id": doc_id, **fields}) + "\n")
+        if failed:
+            raise _Reported
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -91,10 +113,10 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         repaired += len(closed) > len(labels)
         return {"sequence": render_sequence(linearize(tax, closed))}
 
-    code = _write_each(args.output, [(doc.id, doc) for doc in read_documents(args.input)], row)
-    if code == 0 and repaired:
+    _write_each(args.output, ((doc.id, doc) for doc in iter_documents(args.input)), row)
+    if repaired:
         print(f"ancestor closure repaired {repaired} document(s)", file=sys.stderr)
-    return code
+    return 0
 
 
 def cmd_delinearize(args: argparse.Namespace) -> int:
@@ -111,17 +133,17 @@ def cmd_delinearize(args: argparse.Namespace) -> int:
             )
         return {"labels": sorted(delinearize(tax, tokens))}
 
-    records = [(doc_id, (index, record)) for index, doc_id, record in records_with_ids(args.input)]
-    return _write_each(args.output, records, row)
+    records = ((doc_id, (index, record)) for index, doc_id, record in records_with_ids(args.input))
+    _write_each(args.output, records, row)
+    return 0
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    documents = read_documents(args.input)
     doc = None
     def gold():  # the fit counts one document at a time, so a label error is ``doc``'s
         nonlocal doc
-        for doc in documents:
+        for doc in iter_documents(args.input):
             yield doc.text, required_labels(doc)
     try:
         scorer = fit_bigram_scorer(tax, gold(), closure=args.closure)
@@ -157,34 +179,41 @@ def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
 
 def cmd_decode(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    documents = read_documents(args.input)
     shared = _shared_scorer(args, tax)
-    rows = []
+    documents = decoded = inconsistent = 0
     overflowed = []
-    inconsistent = 0
-    for doc in documents:
-        try:
-            scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
-            if args.mode == "constrained":
-                result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
-            else:
-                result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
-        except DecodeOverflowError:
-            overflowed.append(doc.id)
-            continue
-        except UnknownLabelError as err:  # the oracle's gold set
-            _report(err.code, err, doc.id)
-            return 1
-        except InconsistentLabelSetError as err:  # decode has no --closure to apply
-            advice = "run treedecode postprocess on the gold file first"
-            _report(err.code, f"label set is not closed under ancestors; {advice}", doc.id)
-            return 1
-        inconsistent += not tax.is_consistent(result.labels)
-        rows.append(result.to_dict(doc.id))
-    _write_rows(args.output, rows)
+    records = iter_documents(args.input)
+    with _output(args.output) as out:
+        # Records are read, and rows written, a block at a time: one read or written between
+        # two searches took twice as long, its code and data evicted by the search.
+        while block := list(itertools.islice(records, DECODE_BLOCK)):
+            documents += len(block)
+            rows = []
+            for doc in block:
+                try:
+                    scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
+                    if args.mode == "constrained":
+                        result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
+                    else:
+                        result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
+                except DecodeOverflowError:
+                    overflowed.append(doc.id)
+                    continue
+                except UnknownLabelError as err:  # the oracle's gold set
+                    _report(err.code, err, doc.id)
+                    raise _Reported from None
+                except InconsistentLabelSetError as err:  # decode has no --closure to apply
+                    advice = "run treedecode postprocess on the gold file first"
+                    _report(err.code, f"label set is not closed under ancestors; {advice}", doc.id)
+                    raise _Reported from None
+                inconsistent += not tax.is_consistent(result.labels)
+                rows.append(result.to_dict(doc.id))
+            decoded += len(rows)
+            for row in rows:
+                out.write(json.dumps(row) + "\n")
     summary = {
-        "documents": len(documents),
-        "decoded": len(rows),
+        "documents": documents,
+        "decoded": decoded,
         "inconsistent": inconsistent,
         "overflow": overflowed,
     }
@@ -198,13 +227,15 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
     def row(doc):
         return {"labels": sorted(tax.ancestor_closure(required_labels(doc)))}
 
-    return _write_each(args.output, [(doc.id, doc) for doc in read_documents(args.input)], row)
+    _write_each(args.output, ((doc.id, doc) for doc in iter_documents(args.input)), row)
+    return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    gold_docs = read_documents(args.gold)
-    predictions = {doc.id: required_labels(doc) for doc in read_documents(args.predictions)}
+    # Records are read one at a time; gold keeps no text, and predictions are kept for alignment.
+    gold_docs = [dataclasses.replace(doc, text="") for doc in iter_documents(args.gold)]
+    predictions = {doc.id: required_labels(doc) for doc in iter_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))
@@ -222,7 +253,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     print(report.format_table())
     if args.output:
-        Path(args.output).write_text(report.to_json() + "\n", encoding="utf-8")
+        with replacing(args.output) as handle:
+            handle.write(report.to_json() + "\n")
     else:
         print(report.to_json())
     return 0
@@ -311,6 +343,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
+    except _Reported:
+        return 1
     except TreeDecodeError as err:
         _report(err.code, err)
         return 1

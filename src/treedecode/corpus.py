@@ -5,14 +5,22 @@ may be empty or absent and labels may be absent for decode-only input.
 Ids must be strings, unique within a file, text a string and labels,
 when present, a JSON list of strings. Prediction files use the same record
 shape, with labels required and text ignored.
+
+Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
+``read_jsonl`` and ``read_documents`` are lists of them), and every output
+goes through ``replacing``, which writes a file only once its writer succeeds.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import stat
 from collections.abc import Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TextIO
 
 from .errors import CorpusFormatError
 
@@ -24,27 +32,113 @@ class DocumentRecord:
     labels: frozenset[str] | None = None
 
 
+def iter_jsonl(path: str | Path) -> Iterator[dict]:
+    """Yield the JSON object of each non-blank line of a UTF-8 file, reading one line at a time.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines), never at another line
+    separator. A line that is not UTF-8 or not a JSON object raises CorpusFormatError when it
+    is reached, so the first fault in the file is the one reported.
+    """
+    # Bytes that are not UTF-8 become lone surrogates, which valid UTF-8 never decodes to,
+    # so each line is checked by itself instead of failing a whole buffer at once.
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as err:
+                    raise CorpusFormatError(f"{path}:{lineno}: not UTF-8 ({err})") from None
+            line = line.rstrip("\n")  # JSON error positions count within the line
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except (ValueError, RecursionError) as err:  # bad JSON, too long an integer, too deep
+                raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
+            if not isinstance(row, dict):
+                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+            yield row
+
+
 def read_jsonl(path: str | Path) -> list[dict]:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except UnicodeDecodeError as err:
-        raise CorpusFormatError(f"{path}: not UTF-8 ({err})") from None
-    rows = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    return list(iter_jsonl(path))
+
+
+# Output text held in memory before it moves to a temporary file beside the output.
+SPILL_CHARS = 1 << 20
+
+
+class _Output:
+    """Text bound for ``path``, written there only by ``commit``.
+
+    Up to SPILL_CHARS of text stays in memory, and ``commit`` writes it through
+    ``open(path, "w")``. Past that, the text moves to a temporary file beside ``path``,
+    which ``commit`` renames over it, giving it first the permission bits ``open`` would
+    leave: the old file's, or the umask's for a new one. A path that exists but is not a
+    regular file (a symbolic link, ``/dev/stdout``, a pipe) cannot be renamed over, so
+    its text stays in memory.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = path
+        self.parts: list[str] = []
+        self.size = 0
+        self.spilled: TextIO | None = None
         try:
-            row = json.loads(line)
-        except (ValueError, RecursionError) as err:  # bad JSON, too long an integer, too deep
-            raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
-        if not isinstance(row, dict):
-            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-        rows.append(row)
-    return rows
+            self.mode: int | None = os.lstat(path).st_mode
+        except FileNotFoundError:
+            self.mode = None
+
+    def write(self, text: str) -> None:
+        if self.spilled is not None:
+            self.spilled.write(text)
+            return
+        self.parts.append(text)
+        self.size += len(text)
+        if self.size > SPILL_CHARS and (self.mode is None or stat.S_ISREG(self.mode)):
+            self.temporary = f"{self.path}.{os.urandom(8).hex()}.tmp"
+            # Mode 0o666 less the umask, as open(path, "w") gives a new file.
+            descriptor = os.open(self.temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            self.spilled = open(descriptor, "w", encoding="utf-8")
+            if self.mode is not None:
+                os.fchmod(descriptor, stat.S_IMODE(self.mode))
+            self.spilled.writelines(self.parts)
+            self.parts = []
+
+    def commit(self) -> None:
+        if self.spilled is None:
+            with open(self.path, "w", encoding="utf-8") as handle:
+                handle.writelines(self.parts)
+        else:
+            self.spilled.close()
+            os.replace(self.temporary, self.path)
+
+    def discard(self) -> None:
+        if self.spilled is not None:
+            try:
+                self.spilled.close()
+            finally:
+                os.unlink(self.temporary)
+
+
+@contextmanager
+def replacing(path: str | Path) -> Iterator[_Output]:
+    """A handle whose ``write``s become the content of ``path`` only if the block raises nothing.
+
+    On any error an existing file keeps its bytes and no temporary file is left (see ``_Output``).
+    """
+    output = _Output(path)
+    try:
+        yield output
+        output.commit()
+    except BaseException:
+        output.discard()
+        raise
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    """Write one JSON object per line, replacing ``path`` only once every row is written."""
+    with replacing(path) as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
 
@@ -52,7 +146,7 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
 def records_with_ids(path: str | Path) -> Iterator[tuple[int, str, dict]]:
     """Yield (number from 1, id, record) per record; each id a string, unique in the file."""
     seen: set[str] = set()
-    for index, row in enumerate(read_jsonl(path), start=1):
+    for index, row in enumerate(iter_jsonl(path), start=1):
         if "id" not in row:
             raise CorpusFormatError(f"{path}: record {index} has no id")
         doc_id = row["id"]
@@ -71,9 +165,11 @@ def required_labels(doc: DocumentRecord) -> frozenset[str]:
     return doc.labels
 
 
-def read_documents(path: str | Path) -> list[DocumentRecord]:
-    """Load corpus or prediction records: unique ids, string text, labels a list of strings."""
-    documents = []
+def iter_documents(path: str | Path) -> Iterator[DocumentRecord]:
+    """Yield corpus or prediction records as they are read.
+
+    Ids are strings, unique in the file; text is a string and labels a list of strings.
+    """
     for index, doc_id, row in records_with_ids(path):
         text = row.get("text", "")
         if not isinstance(text, str):
@@ -87,9 +183,8 @@ def read_documents(path: str | Path) -> list[DocumentRecord]:
             raise CorpusFormatError(
                 f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
             )
-        documents.append(
-            DocumentRecord(
-                id=doc_id, text=text, labels=None if labels is None else frozenset(labels)
-            )
-        )
-    return documents
+        yield DocumentRecord(id=doc_id, text=text, labels=None if labels is None else frozenset(labels))
+
+
+def read_documents(path: str | Path) -> list[DocumentRecord]:
+    return list(iter_documents(path))

@@ -18,6 +18,7 @@ from collections.abc import Iterable, Sequence
 from itertools import pairwise
 from pathlib import Path
 
+from .corpus import replacing
 from .errors import EmptyCorpusError, ModelFormatError
 from .linearizer import _walk
 from .taxonomy import Taxonomy
@@ -91,7 +92,10 @@ class BigramScorer:
     change after construction. Scores read only ``prefix[-1]``, so the
     class declares ``markov_order = 1`` (see ``decoding.Scorer``). Only
     the alphabet's size enters a probability, so its order carries no
-    meaning; ``load`` rejects an empty alphabet or a repeated token.
+    meaning. The constructor, and so ``load``, raises ModelFormatError for
+    an alphabet that is empty, repeats a token or holds a non-string (add-one
+    would divide by 0 or count a token twice), and for a count that is not an
+    integer in [0, 2**53) or whose next token is not in the alphabet.
     """
 
     markov_order = 1
@@ -102,6 +106,20 @@ class BigramScorer:
         counts: dict[str, dict[str, int]],
         repaired_docs: int = 0,
     ):
+        if not (
+            isinstance(alphabet, (list, tuple))
+            and all(isinstance(t, str) for t in alphabet)
+            and 0 < len(set(alphabet)) == len(alphabet)
+        ):
+            raise ModelFormatError("'alphabet' must be a non-empty list of distinct strings")
+        known = set(alphabet)  # next tokens only: the root is a context outside the alphabet
+        if not isinstance(counts, dict) or not all(
+            isinstance(row, dict)
+            and known.issuperset(row)
+            and all(type(n) is int and 0 <= n < MAX_COUNT for n in row.values())
+            for row in counts.values()
+        ):
+            raise ModelFormatError("each 'counts' row must map alphabet tokens to integers in [0, 2**53)")
         self.alphabet = tuple(alphabet)
         self.counts = counts
         self.repaired_docs = repaired_docs
@@ -131,9 +149,8 @@ class BigramScorer:
         return {"alphabet": list(self.alphabet), "counts": counts}
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        with replacing(path) as handle:
+            handle.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramScorer":
@@ -144,24 +161,10 @@ class BigramScorer:
             raise ModelFormatError(f"{path}: not a JSON model file ({err})") from None
         if not isinstance(data, dict) or "alphabet" not in data or "counts" not in data:
             raise ModelFormatError(f"{path}: expected an object with 'alphabet' and 'counts'")
-        alphabet, counts = data["alphabet"], data["counts"]
-        if not (
-            isinstance(alphabet, list)
-            and all(isinstance(t, str) for t in alphabet)
-            and 0 < len(set(alphabet)) == len(alphabet)  # add-one divides by 0, or counts a token twice
-        ):
-            raise ModelFormatError(f"{path}: 'alphabet' must be a non-empty list of distinct strings")
-        known = set(alphabet)  # next tokens only: the root is a context outside the alphabet
-        if not isinstance(counts, dict) or not all(
-            isinstance(row, dict)
-            and known.issuperset(row)
-            and all(type(n) is int and 0 <= n < MAX_COUNT for n in row.values())
-            for row in counts.values()
-        ):
-            raise ModelFormatError(
-                f"{path}: each 'counts' row must map alphabet tokens to integers in [0, 2**53)"
-            )
-        return cls(tuple(alphabet), counts)
+        try:
+            return cls(data["alphabet"], data["counts"])
+        except ModelFormatError as err:
+            raise ModelFormatError(f"{path}: {err}") from None
 
 
 def fit_bigram_scorer(

@@ -164,6 +164,21 @@ def test_bigram_load_rejects_an_empty_or_repeated_alphabet(alphabet, tmp_path):
         BigramScorer.load(path)
 
 
+@pytest.mark.parametrize(
+    "alphabet, counts",
+    # Empty, a score divided by zero; with 'A' twice, P(. | Root) summed to 0.75 over A and B.
+    [((), {}), (("A", "A", "B"), {"Root": {"A": 1}})],
+    ids=["empty", "repeated"],
+)
+def test_bigram_constructor_rejects_what_load_rejects(alphabet, counts, tmp_path):
+    with pytest.raises(ModelFormatError, match="^'alphabet' must be a non-empty list of distinct strings$"):
+        BigramScorer(alphabet, counts)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"alphabet": list(alphabet), "counts": counts}))
+    with pytest.raises(ModelFormatError, match="^.*model.json: 'alphabet' must be a non-empty list"):
+        BigramScorer.load(path)
+
+
 def test_bigram_cached_rows_equal_the_formula_bit_for_bit(media_tax, tmp_path):
     corpus = _media_corpus([
         {"Entertainment", "Movie", "Documentary"},
