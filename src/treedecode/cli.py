@@ -8,10 +8,8 @@ be called repeatedly in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import functools
-import io
 import itertools
 import json
 import sys
@@ -19,7 +17,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import decoding, metrics, taxonomy
-from .corpus import iter_documents, read_documents, records_with_ids, replacing, required_labels
+from .corpus import buffered_output, iter_documents, read_documents, records_with_ids, required_labels
 from .errors import (
     AlignmentError,
     CorpusFormatError,
@@ -61,26 +59,11 @@ def _load_taxonomy(path: str) -> Taxonomy:
     return parse_taxonomy(_taxonomy_text(path))
 
 
-@contextlib.contextmanager
-def _output(path: str):
-    """A text handle for a command's output, which is written only if the block raises nothing.
-
-    ``-`` is stdout, buffered until then; any other path is written through ``replacing``.
-    """
-    if path != "-":
-        with replacing(path) as handle:
-            yield handle
-        return
-    buffer = io.StringIO()
-    yield buffer
-    sys.stdout.write(buffer.getvalue())
-
-
 def _write_each(path: str, records: Iterable[tuple[str, object]], row) -> None:
     """Write ``{"id": id, **row(record)}`` for every ``(id, record)`` as it is read, or report
     every record that fails and raise ``_Reported``, so that nothing is written."""
     failed = False
-    with _output(path) as out:
+    with buffered_output(sys.stdout if path == "-" else path) as out:
         for doc_id, record in records:
             try:
                 fields = row(record)
@@ -183,7 +166,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
     documents = decoded = inconsistent = 0
     overflowed = []
     records = iter_documents(args.input)
-    with _output(args.output) as out:
+    with buffered_output(sys.stdout if args.output == "-" else args.output) as out:
         # Records are read, and rows written, a block at a time: one read or written between
         # two searches took twice as long, its code and data evicted by the search.
         while block := list(itertools.islice(records, DECODE_BLOCK)):
@@ -253,8 +236,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         return 1
     print(report.format_table())
     if args.output:
-        with replacing(args.output) as handle:
-            handle.write(report.to_json() + "\n")
+        Path(args.output).write_text(report.to_json() + "\n", encoding="utf-8")
     else:
         print(report.to_json())
     return 0

@@ -7,15 +7,15 @@ when present, a JSON list of strings. Prediction files use the same record
 shape, with labels required and text ignored.
 
 Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
-``read_jsonl`` and ``read_documents`` are lists of them), and every output
-goes through ``replacing``, which writes a file only once its writer succeeds.
+``read_jsonl`` and ``read_documents`` are lists of them). Streamed output
+goes through ``buffered_output``, which writes only once its writer succeeds.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import stat
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -64,81 +64,26 @@ def read_jsonl(path: str | Path) -> list[dict]:
     return list(iter_jsonl(path))
 
 
-# Output text held in memory before it moves to a temporary file beside the output.
-SPILL_CHARS = 1 << 20
-
-
-class _Output:
-    """Text bound for ``path``, written there only by ``commit``.
-
-    Up to SPILL_CHARS of text stays in memory, and ``commit`` writes it through
-    ``open(path, "w")``. Past that, the text moves to a temporary file beside ``path``,
-    which ``commit`` renames over it, giving it first the permission bits ``open`` would
-    leave: the old file's, or the umask's for a new one. A path that exists but is not a
-    regular file (a symbolic link, ``/dev/stdout``, a pipe) cannot be renamed over, so
-    its text stays in memory.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = path
-        self.parts: list[str] = []
-        self.size = 0
-        self.spilled: TextIO | None = None
-        try:
-            self.mode: int | None = os.lstat(path).st_mode
-        except FileNotFoundError:
-            self.mode = None
-
-    def write(self, text: str) -> None:
-        if self.spilled is not None:
-            self.spilled.write(text)
-            return
-        self.parts.append(text)
-        self.size += len(text)
-        if self.size > SPILL_CHARS and (self.mode is None or stat.S_ISREG(self.mode)):
-            self.temporary = f"{self.path}.{os.urandom(8).hex()}.tmp"
-            # Mode 0o666 less the umask, as open(path, "w") gives a new file.
-            descriptor = os.open(self.temporary, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-            self.spilled = open(descriptor, "w", encoding="utf-8")
-            if self.mode is not None:
-                os.fchmod(descriptor, stat.S_IMODE(self.mode))
-            self.spilled.writelines(self.parts)
-            self.parts = []
-
-    def commit(self) -> None:
-        if self.spilled is None:
-            with open(self.path, "w", encoding="utf-8") as handle:
-                handle.writelines(self.parts)
-        else:
-            self.spilled.close()
-            os.replace(self.temporary, self.path)
-
-    def discard(self) -> None:
-        if self.spilled is not None:
-            try:
-                self.spilled.close()
-            finally:
-                os.unlink(self.temporary)
-
-
 @contextmanager
-def replacing(path: str | Path) -> Iterator[_Output]:
-    """A handle whose ``write``s become the content of ``path`` only if the block raises nothing.
+def buffered_output(target: str | Path | TextIO) -> Iterator[TextIO]:
+    """A text buffer that is written to ``target`` only if the block raises nothing.
 
-    On any error an existing file keeps its bytes and no temporary file is left (see ``_Output``).
+    ``target`` is a path, written with ``open(path, "w")`` at the end, or an open text
+    stream such as ``sys.stdout``. The text waits in memory, so on any error an existing
+    file keeps its bytes, and a command may write the file it read.
     """
-    output = _Output(path)
-    try:
-        yield output
-        output.commit()
-    except BaseException:
-        output.discard()
-        raise
+    buffer = io.StringIO()
+    yield buffer
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, "w", encoding="utf-8") as handle:
+            handle.write(buffer.getvalue())
+    else:
+        target.write(buffer.getvalue())
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> None:
-    """Write one JSON object per line, replacing ``path`` only once every row is written."""
-    with replacing(path) as handle:
+    """Write one JSON object per line, writing ``path`` only once every row is encoded."""
+    with buffered_output(path) as handle:
         for row in rows:
             handle.write(json.dumps(row) + "\n")
 

@@ -18,7 +18,6 @@ from collections.abc import Iterable, Sequence
 from itertools import pairwise
 from pathlib import Path
 
-from .corpus import replacing
 from .errors import EmptyCorpusError, ModelFormatError
 from .linearizer import _walk
 from .taxonomy import Taxonomy
@@ -149,8 +148,9 @@ class BigramScorer:
         return {"alphabet": list(self.alphabet), "counts": counts}
 
     def save(self, path: str | Path) -> None:
-        with replacing(path) as handle:
-            handle.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+        Path(path).write_text(
+            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
+        )
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramScorer":

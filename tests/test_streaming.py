@@ -1,13 +1,13 @@
 """Commands read their input one record at a time and write their output only on success.
 
 A fault found on the last line still ends the command with exit code 1 and a
-``CORPUS_FORMAT`` error, the output file keeps its old bytes and no temporary
-file is left beside it, whether the output waited in memory or had moved to a
-temporary file (the ``spill`` fixture runs both). A fault is reported when its
-line is read, so the first fault in the file wins. A written output has the
-permission bits ``open(path, "w")`` would give it, and ``--output -`` and
-``--output /dev/stdout`` still write to stdout. ``fit``'s peak memory does not
-grow with the number of documents beyond the set of their ids.
+``CORPUS_FORMAT`` error, and the output file keeps its old bytes with nothing
+left beside it. A fault is reported when its line is read, so the first fault
+in the file wins; ``decode`` reads a block of records before it searches them.
+A written output has the permission bits ``open(path, "w")`` would give it,
+and ``--output -`` and ``--output /dev/stdout`` still write to stdout.
+``fit``'s peak memory does not grow with the number of documents beyond the
+set of their ids.
 """
 
 from __future__ import annotations
@@ -23,8 +23,9 @@ from pathlib import Path
 import pytest
 
 from conftest import MEDIA_EDGES
-from treedecode import corpus
+from treedecode import cli, decoding
 from treedecode.cli import main
+from treedecode.errors import DecodeOverflowError
 
 ROOT = Path(__file__).resolve().parent.parent
 OLD = b"the old output\n"
@@ -47,13 +48,6 @@ FAULTS = {
 }
 
 
-@pytest.fixture(params=["in-memory", "spilled"])
-def spill(request, monkeypatch):
-    """Run a test with outputs held in memory, then with every output in a temporary file."""
-    if request.param == "spilled":
-        monkeypatch.setattr(corpus, "SPILL_CHARS", 0)
-
-
 def _jsonl(rows: list[dict]) -> bytes:
     return "".join(json.dumps(row) + "\n" for row in rows).encode()
 
@@ -72,7 +66,7 @@ def _argv(command: str, tmp_path: Path, faulty: Path, out: Path) -> list[str]:
 
 @pytest.mark.parametrize("fault", FAULTS)
 @pytest.mark.parametrize("command", ["fit", "decode", "linearize", "delinearize", "postprocess", "evaluate"])
-def test_a_fault_on_the_last_line_writes_nothing(command, fault, spill, tmp_path, capsys):
+def test_a_fault_on_the_last_line_writes_nothing(command, fault, tmp_path, capsys):
     faulty = tmp_path / "input.jsonl"
     line, message = FAULTS[fault]
     faulty.write_bytes(_jsonl(SEQUENCES if command == "delinearize" else CORPUS) + line)
@@ -119,8 +113,65 @@ def test_the_first_fault_in_file_order_is_reported_first(command, line, fault, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "options",
+    [["--scorer", "oracle"], ["--scorer", "uniform", "--mode", "unconstrained", "--beam", "1"]],
+    ids=["oracle-constrained", "uniform-unconstrained"],
+)
+def test_decode_in_blocks_writes_what_one_block_writes(options, tmp_path, monkeypatch, capsys):
+    search = decoding.constrained_beam_search
+
+    def overflowing(tax, scorer, text, beam):  # the overflow list gathers across blocks
+        if text == "overflow":
+            raise DecodeOverflowError("no <eos>")
+        return search(tax, scorer, text, beam)
+
+    monkeypatch.setattr(decoding, "constrained_beam_search", overflowing)
+    rows = [*CORPUS, {"id": "d4", "labels": ["Business"]}, {"id": "d5", "labels": ["Entertainment", "Movie", "Action"]}]
+    rows[1] = {**rows[1], "text": "overflow"}
+    rows[4] = {**rows[4], "text": "overflow"}
+    inputs = tmp_path / "input.jsonl"
+    inputs.write_bytes(_jsonl(rows))
+    runs = []
+    for block in [cli.DECODE_BLOCK, 2]:  # one block, then three
+        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
+        out = tmp_path / f"out-{block}.jsonl"
+        code = main(_argv("decode", tmp_path, inputs, out)[:-2] + options)
+        runs.append((code, out.read_bytes(), capsys.readouterr()))
+    assert runs[0] == runs[1]
+    code, written, captured = runs[1]
+    summary = json.loads(captured.err)
+    if options[1] == "oracle":
+        assert (code, summary["decoded"], summary["overflow"]) == (1, 3, ["d2", "d5"])
+        assert [json.loads(line)["id"] for line in written.splitlines()] == ["d1", "d3", "d4"]
+    else:
+        assert (code, summary["decoded"], summary["inconsistent"]) == (0, 5, 5)
+    assert summary["documents"] == 5
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [(3, "UNKNOWN_LABEL"), (2, "CORPUS_FORMAT")],
+    ids=["unreadable-in-the-next-block", "unreadable-in-the-same-block"],
+)
+def test_decode_reads_a_block_before_it_searches(line, error, tmp_path, monkeypatch, capsys):
+    # A bad gold label on line 1 is found only when its block is searched; a line that
+    # cannot be read is found when its block is read.
+    monkeypatch.setattr(cli, "DECODE_BLOCK", 2)
+    rows = [{"id": "d1", "labels": ["Jazz"]}, *CORPUS[1:]]
+    inputs = tmp_path / "input.jsonl"
+    inputs.write_bytes(_jsonl(rows[: line - 1]) + b'{"id": "x", "labels": [\n' + _jsonl(rows[line - 1 :]))
+    out = tmp_path / "out.jsonl"
+    assert main(_argv("decode", tmp_path, inputs, out)) == 1
+    errors = [json.loads(text) for text in capsys.readouterr().err.splitlines()]
+    assert [e["error"] for e in errors] == [error]
+    if error == "CORPUS_FORMAT":
+        assert "input.jsonl:2: bad JSON" in errors[0]["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["fit", "decode", "linearize", "evaluate"])
-def test_a_replaced_output_gets_the_mode_open_would_give(command, spill, tmp_path, capsys):
+def test_a_replaced_output_gets_the_mode_open_would_give(command, tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_bytes(_jsonl(CORPUS))
     out = tmp_path / "out.json"
@@ -194,9 +245,11 @@ def _fit_peak_kib(tmp_path: Path, documents: int) -> int:
                     label = parent[label]
             row = {"id": f"train-{i}", "text": f"train document {i}", "labels": sorted(closed)}
             handle.write(json.dumps(row) + "\n")
+    # VmHWM, not ru_maxrss: a child's ru_maxrss starts at the peak of the process that spawned
+    # it, so under a larger pytest process both runs would read the same figure.
     child = (
-        "import resource, sys; from treedecode.cli import main; code = main(sys.argv[1:]); "
-        "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "import sys; from treedecode.cli import main; code = main(sys.argv[1:]); "
+        "print(code, next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
     )
     argv = ["fit", "--taxonomy", str(tax), "--input", str(corpus), "--output", str(tmp_path / "model.json")]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
@@ -205,10 +258,10 @@ def _fit_peak_kib(tmp_path: Path, documents: int) -> int:
     )
     code, peak = done.stdout.split()
     assert code == "0", done.stderr
-    return int(peak)  # KiB on Linux
+    return int(peak)  # KiB
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux only")
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc (Linux)")
 def test_fit_memory_does_not_grow_with_the_corpus(tmp_path):
     # Reading the whole corpus first cost about 98 MB more at 60,000 documents; streamed, what
     # still grows is the set of ids that the duplicate check keeps (about 6 MB).
@@ -217,7 +270,7 @@ def test_fit_memory_does_not_grow_with_the_corpus(tmp_path):
     assert large - small < 15 * 1024, (small, large)
 
 
-def test_postprocess_can_replace_its_own_input(spill, tmp_path, capsys):
+def test_postprocess_can_replace_its_own_input(tmp_path, capsys):
     predictions = tmp_path / "predictions.jsonl"
     predictions.write_bytes(_jsonl([{"id": "p1", "labels": ["Documentary"]}, {"id": "p2", "labels": []}]))
     assert main(_argv("postprocess", tmp_path, predictions, predictions)) == 0
