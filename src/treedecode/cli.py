@@ -31,7 +31,7 @@ from .errors import (
 from .linearizer import delinearize, linearize
 from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
 from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
-from .tokens import parse_sequence, render_sequence
+from .tokens import POP, parse_sequence, render_sequence
 
 
 DECODE_BLOCK = 1024  # records decode holds at a time
@@ -155,6 +155,13 @@ def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
             raise ModelMismatchError(
                 f"{args.model} does not fit this taxonomy: its alphabet differs (only in the "
                 f"model {sorted(model - taxonomy)[:5]}, only in the taxonomy {sorted(taxonomy - model)[:5]})"
+            )
+        # fit counts transitions after the root, each label and POP only; <eos> ends a sequence.
+        contexts = set(loaded.counts) - {*tax.nodes, POP}
+        if contexts:
+            raise ModelMismatchError(
+                f"{args.model} does not fit this taxonomy: it counts transitions after tokens that "
+                f"are neither a taxonomy node nor POP {sorted(contexts)[:5]}"
             )
         return loaded
     return None

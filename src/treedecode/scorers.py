@@ -89,7 +89,10 @@ class BigramScorer:
     one shared value for every uncounted token, each computed exactly as
     ``math.log(probability(prev, token))``. The counts are not meant to
     change after construction. Scores read only ``prefix[-1]``, so the
-    class declares ``markov_order = 1`` (see ``decoding.Scorer``). Only
+    class declares ``markov_order = 1``, and never the text, so it declares
+    ``reads_text = False``: beam search then scores each (last token,
+    vocabulary) once per scorer object, whatever the number of documents
+    it decodes (see ``decoding.Scorer``). Only
     the alphabet's size enters a probability, so its order carries no
     meaning. The constructor, and so ``load``, raises ModelFormatError for
     an alphabet that is empty, repeats a token or holds a non-string (add-one
@@ -98,6 +101,7 @@ class BigramScorer:
     """
 
     markov_order = 1
+    reads_text = False
 
     def __init__(
         self,

@@ -8,14 +8,20 @@ builds only the survivors; both must return the same results in the same
 order.
 
 A scorer that declares ``markov_order = 1`` is scored once per (last
-token, vocabulary) per decode; ``Forwarding`` hides the declaration, so
-the same scorer behind it is scored for every hypothesis at every step.
+token, vocabulary) per decode, and once per scorer object when it also
+declares ``reads_text = False``; ``Forwarding`` hides both declarations,
+so the same scorer behind it is scored for every hypothesis at every step.
 """
 
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
+from dataclasses import dataclass
+
+import pytest
 
 from conftest import random_consistent_labels, random_taxonomy
 from treedecode import (
@@ -40,7 +46,7 @@ from treedecode import (
     step,
     unconstrained_decode,
 )
-from treedecode.decoding import _beam
+from treedecode.decoding import _SHARED_MEMOS, _beam
 from treedecode.tokens import sequence_sort_key, token_sort_key
 
 
@@ -157,7 +163,7 @@ def test_banked_hypotheses_of_different_lengths_tie_lexicographically():
 
 
 class CountingBigram(BigramScorer):
-    """A bigram scorer that counts its ``score`` calls; it keeps ``markov_order = 1``."""
+    """A bigram scorer that counts its ``score`` calls; it keeps ``markov_order = 1`` and ``reads_text = False``."""
 
     calls = 0
 
@@ -166,8 +172,14 @@ class CountingBigram(BigramScorer):
         return super().score(text, prefix, candidates)
 
 
+class TextReadingBigram(CountingBigram):
+    """A counting bigram scorer that keeps ``markov_order = 1`` but does not promise to ignore the text."""
+
+    reads_text = True
+
+
 class Forwarding:
-    """Forwards ``score`` to a scorer but declares no ``markov_order``."""
+    """Forwards ``score`` to a scorer but declares no ``markov_order`` and no ``reads_text``."""
 
     def __init__(self, scorer):
         self.scorer = scorer
@@ -176,9 +188,9 @@ class Forwarding:
         return self.scorer.score(text, prefix, candidates)
 
 
-def counting_bigram(rng, tax):
+def counting_bigram(rng, tax, kind=CountingBigram):
     fitted = fit_bigram_scorer(tax, [("", random_consistent_labels(rng, tax)) for _ in range(20)])
-    return CountingBigram(fitted.alphabet, fitted.counts)
+    return kind(fitted.alphabet, fitted.counts)
 
 
 def bit_exact(results):
@@ -230,20 +242,100 @@ def test_reused_rows_keep_candidates_whose_totals_round_to_a_tie():
             assert memoized == bit_exact([stored(tax, *entry) for entry in reference])
 
 
-def unconstrained_score_calls(rng, cases):
+def unconstrained_score_calls(rng, cases, kind=CountingBigram):
     """Per seeded case: the tree, its fitted scorer, and the score calls and result of one decode."""
     for _ in range(cases):
         tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
-        scorer = counting_bigram(rng, tax)
+        scorer = counting_bigram(rng, tax, kind)
         result = unconstrained_decode(tax, scorer, "text", 4)
         yield tax, scorer, scorer.calls, result
 
 
 def test_order_one_memo_lives_in_one_decode():
-    # A memo kept across decodes would leave the second decode nothing to score.
-    for tax, scorer, calls, _ in unconstrained_score_calls(random.Random(2207), 20):
+    # A scorer that may read the text keeps no row past its decode: the second decode scores afresh.
+    for tax, scorer, calls, _ in unconstrained_score_calls(random.Random(2207), 20, TextReadingBigram):
         unconstrained_decode(tax, scorer, "text", 4)
         assert scorer.calls == 2 * calls
+        assert scorer not in _SHARED_MEMOS
+
+
+def test_text_blind_memo_outlives_a_decode():
+    # Under both promises a row depends only on its key, so another text scores nothing new.
+    rng = random.Random(2209)
+    first_calls = 0
+    for case in range(30):
+        tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
+        for constrained in (True, False):
+            for width in (1, 2, 4, 8):
+                scorer = counting_bigram(rng, tax)
+                first = bit_exact(_beam(tax, scorer, f"case {case}", width, constrained))
+                first_calls += scorer.calls
+                before = scorer.calls
+                second = bit_exact(_beam(tax, scorer, f"other text {case}", width, constrained))
+                assert scorer.calls == before
+                assert second == first
+                assert second == bit_exact(_beam(tax, Forwarding(scorer), f"other text {case}", width, constrained))
+    assert first_calls > 0
+
+
+def test_text_blind_memo_is_shared_across_widths_and_modes():
+    # Rows are ranked without the width, so decodes of every width and mode agree with fresh searches.
+    rng = random.Random(2210)
+    for case in range(30):
+        tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
+        scorer = counting_bigram(rng, tax)
+        for constrained in (True, False, True):
+            for width in (8, 1, 4, 2, 8):
+                shared = bit_exact(_beam(tax, scorer, f"case {case}", width, constrained))
+                assert shared == bit_exact(_beam(tax, Forwarding(scorer), "", width, constrained))
+
+
+@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
+def test_text_blind_memo_stops_growing_after_one_decode(constrained):
+    # With one taxonomy and one width every document's search is the same, so later decodes add no row.
+    tax = random_taxonomy(random.Random(2211), 31, max_depth=4)
+    scorer = counting_bigram(random.Random(2212), tax)
+    _beam(tax, scorer, "document 0", 4, constrained)
+    rows, calls = len(_SHARED_MEMOS[scorer]), scorer.calls
+    for doc in range(1, 50):
+        _beam(tax, scorer, f"document {doc}", 4, constrained)
+    assert len(_SHARED_MEMOS[scorer]) == rows > 0
+    assert scorer.calls == calls
+
+
+def test_text_blind_memo_does_not_keep_its_scorer_alive():
+    tax = random_taxonomy(random.Random(2213), 12, max_depth=3)
+    scorer = counting_bigram(random.Random(2214), tax)
+    _beam(tax, scorer, "", 4, True)
+    alive = weakref.ref(scorer)
+    assert scorer in _SHARED_MEMOS
+    del scorer
+    gc.collect()
+    assert alive() is None
+
+
+@dataclass
+class TextBlindRecord:
+    """An order-1, text-blind scorer that cannot be a dict key: a dataclass with ``eq`` is unhashable."""
+
+    step: float
+    markov_order = 1
+    reads_text = False
+    calls: int = 0
+
+    def score(self, text, prefix, candidates):
+        self.calls += 1
+        return {t: -len(prefix[-1]) * self.step * i for i, t in enumerate(candidates)}
+
+
+def test_unhashable_text_blind_scorer_keeps_one_decode_memo():
+    tax = random_taxonomy(random.Random(2215), 12, max_depth=3)
+    scorer = TextBlindRecord(0.25)
+    first = bit_exact(_beam(tax, scorer, "", 4, False))
+    calls = scorer.calls
+    assert bit_exact(_beam(tax, scorer, "", 4, False)) == first
+    assert scorer.calls == 2 * calls
+    assert first == bit_exact(_beam(tax, Forwarding(scorer), "", 4, False))
 
 
 def test_order_one_memo_scores_each_context_once_per_decode():
@@ -256,7 +348,10 @@ def test_order_one_memo_scores_each_context_once_per_decode():
 
 
 def test_only_the_bigram_scorer_declares_markov_order_one():
-    # The memo would change the results of a scorer that reads more than the last token.
+    # The memo would change the results of a scorer that reads more than the last token,
+    # and sharing it across decodes those of a scorer that reads the text.
     assert BigramScorer.markov_order == 1
+    assert BigramScorer.reads_text is False
     for scorer in (UniformScorer, OracleScorer, RandomScorer):
         assert not hasattr(scorer, "markov_order")
+        assert not hasattr(scorer, "reads_text")

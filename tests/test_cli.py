@@ -261,6 +261,29 @@ def test_decode_bigram_rejects_a_model_of_another_taxonomy(tmp_path, capsys):
     assert "['A', 'B']" in error["message"] and "['X', 'Y']" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "context",
+    [pytest.param("Bogus", id="unknown-context"), pytest.param("<eos>", id="eos-context")],
+)
+def test_decode_bigram_rejects_a_count_row_after_a_token_fit_never_counts(context, tax_file, corpus_file,
+                                                                          tmp_path, capsys):
+    # fit counts transitions after the root, each label and POP; any other context is another model's.
+    model = tmp_path / "model.json"
+    code, _, _ = run(capsys, "fit", "--taxonomy", tax_file, "--input", corpus_file, "--output", str(model))
+    assert code == 0
+    data = json.loads(model.read_text())
+    data["counts"][context] = {"Action": 3}
+    model.write_text(json.dumps(data))
+    predictions = tmp_path / "pred.jsonl"
+    code, out, err = run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
+                         "--output", str(predictions), "--scorer", "bigram", "--model", str(model))
+    assert (code, out) == (1, "")
+    error = json.loads(err)
+    assert error["error"] == "MODEL_MISMATCH"
+    assert repr([context]) in error["message"]
+    assert not predictions.exists()
+
+
 MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment", "Movie", "<eos>", "POP"]
 
 
@@ -318,6 +341,30 @@ def test_decode_bigram_reads_a_model_alphabet_in_any_order(tax_file, corpus_file
         assert code == 0
         outputs.append(predictions.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
+def test_decode_bigram_rows_do_not_leak_between_documents(mode, block, tmp_path, capsys, monkeypatch):
+    # One loaded model decodes every document; each row must be what that document decodes to alone.
+    if block is not None:
+        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
+    tax, corpus = str(ROOT / "demos/data/media.tsv"), ROOT / "demos/data/corpus.jsonl"
+    model = tmp_path / "model.json"
+    assert run(capsys, "fit", "--taxonomy", tax, "--input", str(corpus), "--output", str(model))[0] == 0
+    documents = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len({json.loads(line)["text"] for line in documents}) == len(documents) > 2
+
+    def decode(lines, name):
+        source, target = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.pred.jsonl"
+        source.write_text("".join(lines), encoding="utf-8")
+        code, _, _ = run(capsys, "decode", "--taxonomy", tax, "--input", str(source), "--output", str(target),
+                         "--mode", mode, "--scorer", "bigram", "--model", str(model))
+        assert code == 0
+        return target.read_bytes()
+
+    alone = b"".join(decode([line], f"alone{index}") for index, line in enumerate(documents))
+    assert decode(documents, "all") == alone
 
 
 def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, capsys):
