@@ -8,7 +8,6 @@ be called repeatedly in one process; it builds its parser once.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import json
@@ -17,7 +16,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import decoding, metrics, taxonomy
-from .corpus import buffered_output, iter_documents, read_documents, records_with_ids, required_labels
+from .corpus import buffered_output, iter_documents, records_with_ids, required_labels
 from .errors import (
     AlignmentError,
     CorpusFormatError,
@@ -224,7 +223,7 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     # Records are read one at a time; gold keeps no text, and predictions are kept for alignment.
-    gold_docs = [dataclasses.replace(doc, text="") for doc in iter_documents(args.gold)]
+    gold_docs = [doc._replace(text="") for doc in iter_documents(args.gold)]
     predictions = {doc.id: required_labels(doc) for doc in iter_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
@@ -251,12 +250,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
-    corpora = {}
-    for entry in args.split or []:
+    paths = {}
+    for entry in args.split or []:  # all checked before any file is opened
         name, _, path = entry.partition("=")
-        if not name or not path or name in corpora:
+        if not name or not path or name in paths:
             raise TreeDecodeError(f"--split wants NAME=PATH with a new, non-empty NAME, got {entry!r}")
-        corpora[name] = read_documents(path)
+        paths[name] = path
+    corpora = {name: iter_documents(path) for name, path in paths.items()}  # each read as it is counted
     print(json.dumps(dataset_stats(tax, corpora).to_dict(), indent=2))
     return 0
 

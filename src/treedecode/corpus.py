@@ -18,15 +18,13 @@ import json
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 from .errors import CorpusFormatError
 
 
-@dataclass(frozen=True)
-class DocumentRecord:
+class DocumentRecord(NamedTuple):
     id: str
     text: str = ""
     labels: frozenset[str] | None = None

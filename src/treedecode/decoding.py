@@ -47,9 +47,8 @@ import math
 import weakref
 from bisect import bisect_right
 from collections.abc import Collection, Mapping, Sequence
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .errors import (
     DecodeOverflowError,
@@ -89,8 +88,7 @@ class Scorer(Protocol):
     ) -> Mapping[str, float]: ...
 
 
-@dataclass(frozen=True)
-class DecoderState:
+class DecoderState(NamedTuple):
     """Automaton state after consuming a token prefix.
 
     The stack bottom is always the root; ``visited`` holds every
@@ -103,8 +101,7 @@ class DecoderState:
     terminal: bool = False
 
 
-@dataclass(frozen=True)
-class DecodedSequence:
+class DecodedSequence(NamedTuple):
     """A finished decode in stored form: no ``<eos>``, root token first.
 
     ``logprob`` does include the terminal ``<eos>`` step. ``labels`` is

@@ -25,7 +25,7 @@ decoder in ``decoding`` all run on them, so they accept the same sequences.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InconsistentLabelSetError, InvalidSequenceError
 from .taxonomy import Taxonomy
@@ -39,8 +39,7 @@ UNKNOWN_LABEL = "UNKNOWN_LABEL"
 UNCLOSED = "UNCLOSED"
 
 
-@dataclass(frozen=True)
-class SequenceReport:
+class SequenceReport(NamedTuple):
     """First automaton violation in a token sequence, if any."""
 
     ok: bool

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import json
 from collections.abc import Sequence, Set
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AlignmentError
 from .taxonomy import Taxonomy
 
 
-@dataclass(frozen=True)
-class LabelCounts:
+class LabelCounts(NamedTuple):
     tp: int = 0
     fp: int = 0
     fn: int = 0
@@ -34,8 +33,7 @@ class LabelCounts:
         return 2 * self.tp / denom if denom else 0.0
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     """Per-label true/false positive/negative tallies plus pooled totals."""
 
     per_label: dict[str, LabelCounts]
@@ -92,16 +90,14 @@ def macro_f1(counts: ConfusionCounts) -> float:
     return sum(c.f1() for c in counts.per_label.values()) / len(counts.per_label)
 
 
-@dataclass(frozen=True)
-class PerLabelRow:
+class PerLabelRow(NamedTuple):
     label: str
     f1: float
     c_f1: float
     support: int
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     micro_f1: float
     macro_f1: float
     c_micro_f1: float

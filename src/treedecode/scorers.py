@@ -10,7 +10,6 @@ so constrained-vs-unconstrained comparisons are cheap to run).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from collections import Counter
@@ -66,12 +65,15 @@ class RandomScorer:
     """
 
     def __init__(self, seed: int = 0, scale: float = 5.0):
+        import hashlib  # here, so that importing the package does not load OpenSSL
+
         self.seed = seed
         self.scale = scale
+        self._blake2b = hashlib.blake2b
 
     def _draw(self, text: str, prefix: Sequence[str], token: str) -> float:
         payload = f"{self.seed}\x1f{text}\x1f{' '.join(prefix)}\x1f{token}"
-        digest = hashlib.blake2b(payload.encode("utf-8"), digest_size=8).digest()
+        digest = self._blake2b(payload.encode("utf-8"), digest_size=8).digest()
         unit = int.from_bytes(digest, "big") / 2**64
         return (2.0 * unit - 1.0) * self.scale
 

@@ -13,21 +13,19 @@ per-node start vocabularies (children, then POP or ``<eos>``), in rank order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import DocumentRecord, required_labels
 from .errors import InvalidTaxonomyError, UnknownLabelError
 from .tokens import EOS, POP, RESERVED_TOKENS, token_sort_key
 
 
-@dataclass(frozen=True)
-class Issue:
+class Issue(NamedTuple):
     code: str
     message: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome of structural validation; ``ok`` is true iff no issues were found."""
 
     issues: tuple[Issue, ...] = ()
@@ -308,8 +306,7 @@ def parse_taxonomy(text: str) -> Taxonomy:
     return _build(*_parse_edge_lines(text))
 
 
-@dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(NamedTuple):
     """Corpus-level statistics: label inventory size, tree depth, mean labels per document."""
 
     label_count: int
@@ -326,25 +323,26 @@ class DatasetStats:
         }
 
 
-def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Sequence[DocumentRecord]]) -> DatasetStats:
-    """Summarize a taxonomy plus per-split document collections.
+def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Iterable[DocumentRecord]]) -> DatasetStats:
+    """Summarize a taxonomy plus per-split document collections, each read once, in split order.
 
-    label_count excludes the root; avg_labels is the mean label-set
+    A split may be any iterable, such as ``corpus.iter_documents``, so no split is held in
+    memory. label_count excludes the root; avg_labels is the mean label-set
     cardinality over all splits combined (0 for an empty corpus). Raises
     CorpusFormatError for a document without labels (``[]`` counts as 0)
     and UnknownLabelError for the first label in name order that is unknown
     or the root, naming its document.
     """
     total_labels = 0
-    total_docs = 0
     split_sizes: dict[str, int] = {}
     for split, docs in corpora.items():
-        split_sizes[split] = len(docs)
+        split_sizes[split] = 0
         for doc in docs:
             labels = required_labels(doc)
             tax._require_labels(labels, doc.id)
             total_labels += len(labels)
-            total_docs += 1
+            split_sizes[split] += 1
+    total_docs = sum(split_sizes.values())
     avg = total_labels / total_docs if total_docs else 0.0
     return DatasetStats(
         label_count=len(tax) - 1,

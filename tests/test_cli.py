@@ -805,15 +805,18 @@ def test_stats_bad_split_argument(tax_file, capsys):
     assert "NAME=PATH" in err
 
 
+# Every split is checked before a file is opened, so a missing file does not hide a bad argument.
 @pytest.mark.parametrize(
-    "splits", [["train={corpus}", "train={one}"], ["={corpus}"]], ids=["repeated-name", "empty-name"]
+    "splits",
+    [["train={corpus}", "train={one}"], ["={corpus}"], ["a={missing}", "b"]],
+    ids=["repeated-name", "empty-name", "after-a-missing-file"],
 )
 def test_stats_rejects_a_repeated_or_empty_split_name(splits, tax_file, corpus_file, tmp_path, capsys):
     one = tmp_path / "one.jsonl"
     write_jsonl(one, [{"id": "x", "labels": ["Business"]}])
     argv = []
     for split in splits:
-        argv += ["--split", split.format(corpus=corpus_file, one=one)]
+        argv += ["--split", split.format(corpus=corpus_file, one=one, missing=tmp_path / "missing.jsonl")]
     code, out, err = run(capsys, "stats", "--taxonomy", tax_file, *argv)
     assert (code, out) == (1, "")
     assert json.loads(err)["message"].startswith("--split wants NAME=PATH")

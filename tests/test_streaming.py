@@ -6,8 +6,10 @@ left beside it. A fault is reported when its line is read, so the first fault
 in the file wins; ``decode`` reads a block of records before it searches them.
 A written output has the permission bits ``open(path, "w")`` would give it,
 and ``--output -`` and ``--output /dev/stdout`` still write to stdout.
-``fit``'s peak memory does not grow with the number of documents beyond the
-set of their ids.
+The peak memory of ``fit`` and ``stats`` does not grow with the number of
+documents beyond the set of their ids. ``stats`` checks all its ``--split``
+arguments, then reads its splits one after another, so a label error in an
+earlier split is reported before a format error in a later one.
 """
 
 from __future__ import annotations
@@ -229,8 +231,8 @@ def _balanced_tree(branching: int, depth: int) -> tuple[str, list[str], dict[str
     return tsv, [child for _, child in edges], parent
 
 
-def _fit_peak_kib(tmp_path: Path, documents: int) -> int:
-    """Peak RSS of a fresh process that runs ``fit`` on ``documents`` documents."""
+def _peak_kib(command: str, tmp_path: Path, documents: int) -> int:
+    """Peak RSS of a fresh process that runs ``fit`` or ``stats`` on ``documents`` documents."""
     tsv, labels, parent = _balanced_tree(6, 3)
     tax = tmp_path / "tree.tsv"
     tax.write_text(tsv)
@@ -251,22 +253,27 @@ def _fit_peak_kib(tmp_path: Path, documents: int) -> int:
         "import sys; from treedecode.cli import main; code = main(sys.argv[1:]); "
         "print(code, next(line.split()[1] for line in open('/proc/self/status') if line.startswith('VmHWM:')))"
     )
-    argv = ["fit", "--taxonomy", str(tax), "--input", str(corpus), "--output", str(tmp_path / "model.json")]
+    argv = {
+        "fit": ["fit", "--taxonomy", str(tax), "--input", str(corpus), "--output", str(tmp_path / "model.json")],
+        "stats": ["stats", "--taxonomy", str(tax), "--split", f"train={corpus}"],
+    }[command]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", child, *argv], env=env, capture_output=True, text=True, timeout=300
     )
-    code, peak = done.stdout.split()
+    code, peak = done.stdout.split()[-2:]  # after what stats prints
     assert code == "0", done.stderr
     return int(peak)  # KiB
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc (Linux)")
-def test_fit_memory_does_not_grow_with_the_corpus(tmp_path):
-    # Reading the whole corpus first cost about 98 MB more at 60,000 documents; streamed, what
-    # still grows is the set of ids that the duplicate check keeps (about 6 MB).
-    small = _fit_peak_kib(tmp_path, 1_200)
-    large = _fit_peak_kib(tmp_path, 60_000)
+@pytest.mark.parametrize("command", ["fit", "stats"])
+def test_memory_does_not_grow_with_the_corpus(command, tmp_path):
+    # Reading the whole corpus first cost fit about 98 MB more and stats about 68 MB more at
+    # 60,000 documents; streamed, what still grows is the set of ids that the duplicate check
+    # keeps (about 6 MB).
+    small = _peak_kib(command, tmp_path, 1_200)
+    large = _peak_kib(command, tmp_path, 60_000)
     assert large - small < 15 * 1024, (small, large)
 
 
@@ -278,3 +285,21 @@ def test_postprocess_can_replace_its_own_input(tmp_path, capsys):
     assert predictions.read_bytes() == _jsonl([
         {"id": "p1", "labels": ["Documentary", "Entertainment", "Movie"]}, {"id": "p2", "labels": []},
     ])
+
+
+def _stats(tmp_path: Path, *splits: str) -> list[str]:
+    tax = tmp_path / "media.tsv"
+    tax.write_text(MEDIA_EDGES)
+    return ["stats", "--taxonomy", str(tax), *(arg for split in splits for arg in ["--split", split])]
+
+
+def test_stats_reports_an_earlier_split_before_a_later_one(tmp_path, capsys):
+    # The later split cannot even be read, but the earlier one's label error comes first.
+    earlier, later = tmp_path / "earlier.jsonl", tmp_path / "later.jsonl"
+    earlier.write_bytes(_jsonl([*CORPUS, {"id": "d4", "labels": ["Jazz"]}]))
+    later.write_bytes(b'{"id": "x", "labels": [\n')
+    code = main(_stats(tmp_path, f"a={earlier}", f"b={later}"))
+    error = {"error": "UNKNOWN_LABEL", "message": "document 'd4': unknown label 'Jazz'"}
+    assert (code, *capsys.readouterr()) == (1, "", json.dumps(error) + "\n")
+    assert main(_stats(tmp_path, f"b={later}", f"a={earlier}")) == 1
+    assert json.loads(capsys.readouterr().err)["error"] == "CORPUS_FORMAT"
