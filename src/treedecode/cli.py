@@ -34,6 +34,8 @@ from .tokens import POP, parse_sequence, render_sequence
 
 
 DECODE_BLOCK = 1024  # records decode holds at a time
+# The library's closure error advises a call; the commands advise a step a user can take.
+_UNCLOSED = "label set is not closed under ancestors; "
 
 
 class _Reported(Exception):
@@ -93,7 +95,10 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         labels = required_labels(doc)
         closed = tax.ancestor_closure(labels) if args.closure else labels
         repaired += len(closed) > len(labels)
-        return {"sequence": render_sequence(linearize(tax, closed))}
+        try:
+            return {"sequence": render_sequence(linearize(tax, closed))}
+        except InconsistentLabelSetError:
+            raise InconsistentLabelSetError(_UNCLOSED + "rerun with --closure") from None
 
     _write_each(args.output, ((doc.id, doc) for doc in iter_documents(args.input)), row)
     if repaired:
@@ -129,8 +134,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
             yield doc.text, required_labels(doc)
     try:
         scorer = fit_bigram_scorer(tax, gold(), closure=args.closure)
-    except (UnknownLabelError, InconsistentLabelSetError) as err:
+    except UnknownLabelError as err:
         _report(err.code, err, doc.id)
+        return 1
+    except InconsistentLabelSetError as err:
+        _report(err.code, _UNCLOSED + "rerun with --closure", doc.id)
         return 1
     scorer.save(args.output)
     if scorer.repaired_docs:
@@ -192,8 +200,7 @@ def cmd_decode(args: argparse.Namespace) -> int:
                     _report(err.code, err, doc.id)
                     raise _Reported from None
                 except InconsistentLabelSetError as err:  # decode has no --closure to apply
-                    advice = "run treedecode postprocess on the gold file first"
-                    _report(err.code, f"label set is not closed under ancestors; {advice}", doc.id)
+                    _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
                     raise _Reported from None
                 inconsistent += not tax.is_consistent(result.labels)
                 rows.append(result.to_dict(doc.id))
@@ -241,10 +248,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         _report(err.code, f"{err} in {'--gold' if err.label in gold else '--predictions'}", doc_id)
         return 1
     print(report.format_table())
+    text = json.dumps(report.to_dict(), indent=2)
     if args.output:
-        Path(args.output).write_text(report.to_json() + "\n", encoding="utf-8")
+        Path(args.output).write_text(text + "\n", encoding="utf-8")
     else:
-        print(report.to_json())
+        print(text)
     return 0
 
 

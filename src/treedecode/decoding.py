@@ -35,9 +35,10 @@ token, vocabulary) for as long as the scorer object lives, its rows kept
 in a table that does not keep the scorer alive. Active hypotheses are
 plain ``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)``
 pairs, and only the final bank becomes ``DecodedSequence`` objects. A
-step ranks its expansions' float totals with one stable sort; a reused
-memo row adds only its ``beam_width`` best plus rounding ties. Only the survivors are built, each with one prefix
-copy and one frame advance, an O(|V|) splice. The public ``DecoderState``
+step ranks its expansions' float totals with one stable sort; a memo row,
+ranked once when it is stored, adds only its ``beam_width`` best plus
+rounding ties. Only the survivors are built, each with one prefix copy and
+one frame advance, an O(|V|) splice. The public ``DecoderState``
 keeps the stack and visited labels instead, which frames cannot give back.
 """
 
@@ -147,7 +148,7 @@ def step(tax: Taxonomy, state: DecoderState, token: str) -> DecoderState:
     if token not in vocab:
         raise IllegalTokenError(f"token {token!r} not in dynamic vocabulary {sorted(vocab)}")
     if token == EOS:
-        return DecoderState(state.stack, state.visited, terminal=True)
+        return state._replace(terminal=True)
     if token == POP:
         return DecoderState(state.stack[:-1], state.visited)
     return DecoderState(state.stack + (token,), state.visited | {token})
@@ -241,11 +242,12 @@ def max_decode_length(tax: Taxonomy) -> int:
     return 2 * len(tax) + 2
 
 
-def _reused_picks(row: list, logprob: float, beam_width: int) -> list[int]:
-    """The indices of a reused memo row ``[log_probs, order]`` that can survive a step, in index order."""
+def _memo_picks(row: tuple, logprob: float, beam_width: int) -> list[int]:
+    """The indices of a memo row ``(log_probs, order)`` that can survive a step, in index order.
+
+    Any other index has ``beam_width`` candidates of the same parent ahead of it, so it never survives.
+    """
     log_probs, order = row
-    if order is None:  # ranked by (-log prob, index) on the row's first reuse
-        order = row[1] = sorted(range(len(log_probs)), key=log_probs.__getitem__, reverse=True)
     # Past the beam_width-th, keep each index whose total rounds to the same float: it may win that tie.
     cut, floor = beam_width, logprob + log_probs[order[min(beam_width, len(order)) - 1]]
     while cut < len(order) and logprob + log_probs[order[cut]] == floor:
@@ -258,13 +260,13 @@ _SHARED_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def _memo(scorer: Scorer) -> dict | None:
-    """The ``(last token, vocabulary) -> [log probs, order once reused]`` rows ``_beam`` reads and fills.
+    """The ``(last token, vocabulary) -> (log probs, order)`` rows ``_beam`` reads and fills.
 
     None unless the scorer declares ``markov_order = 1``. Its rows then
     depend only on their keys and the text, and with ``reads_text = False``
     on their keys alone, so they stay with the scorer object (objects that
     compare equal share them) and serve decodes of any width: ``order``
-    ignores the width, which ``_reused_picks`` takes on each call. Other
+    ignores the width, which ``_memo_picks`` takes on each call. Other
     order-1 scorers, and those that cannot be weak keys (unhashable, or
     without a ``__weakref__`` slot), get fresh rows per decode.
     """
@@ -294,8 +296,8 @@ def _beam(
     ``(-logprob, ranks)``, its tokens mapped through the taxonomy's rank
     table (built once from ``token_sort_key``), orders exactly like
     ``(-logprob, parent rank, candidate index)``: the float totals are laid
-    out in that order and sorted stably by total alone (a reused memo row
-    lays out only what ``_reused_picks`` keeps). The ``beam_width`` best
+    out in that order and sorted stably by total alone (a memo row lays
+    out only what ``_memo_picks`` keeps). The ``beam_width`` best
     positions, re-sorted, give the next step's ranks; a bisect of the
     parents' first positions finds each one's parent. A survivor's token
     comes from the vocabulary its parent was just scored over, so it
@@ -318,15 +320,18 @@ def _beam(
         starts, picks = [], []  # per parent rank: its first total's position, its totals' vocabulary indices
         for logprob, tokens, frame in active:
             starts.append(len(totals))
-            if memo is not None and (row := memo.get(key := (tokens[-1], frame[0]))):
-                picks.append(pick := _reused_picks(row, logprob, beam_width))
-                totals += [logprob + row[0][index] for index in pick]
-                continue
-            log_probs = _log_softmax(scorer.score(text, tokens, frame[0]), frame[0])
-            if memo is not None:
-                memo[key] = [log_probs, None]
-            picks.append(range(len(log_probs)))
-            totals += map(logprob.__add__, log_probs)
+            row = None if memo is None else memo.get(key := (tokens[-1], frame[0]))
+            if row is None:
+                log_probs = _log_softmax(scorer.score(text, tokens, frame[0]), frame[0])
+                if memo is None:
+                    picks.append(range(len(log_probs)))
+                    totals += map(logprob.__add__, log_probs)
+                    continue
+                # Ranked by (-log prob, index) once, when stored.
+                order = sorted(range(len(log_probs)), key=log_probs.__getitem__, reverse=True)
+                row = memo[key] = (log_probs, order)
+            picks.append(pick := _memo_picks(row, logprob, beam_width))
+            totals += [logprob + row[0][index] for index in pick]
         # Stable, so equal totals keep (parent rank, index) order, as their full keys would.
         survivors = sorted(range(len(totals)), key=totals.__getitem__, reverse=True)[:beam_width]
         survivors.sort()

@@ -15,7 +15,6 @@ not skipped).
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence, Set
 from typing import NamedTuple
 
@@ -40,11 +39,8 @@ class ConfusionCounts(NamedTuple):
 
     @property
     def totals(self) -> LabelCounts:
-        return LabelCounts(
-            tp=sum(c.tp for c in self.per_label.values()),
-            fp=sum(c.fp for c in self.per_label.values()),
-            fn=sum(c.fn for c in self.per_label.values()),
-        )
+        # Field by field; with no labels, zip yields nothing and every field keeps its default 0.
+        return LabelCounts(*map(sum, zip(*self.per_label.values())))
 
 
 def confusion_counts(
@@ -106,20 +102,8 @@ class MetricsReport(NamedTuple):
     inconsistent_docs: int
 
     def to_dict(self) -> dict:
-        return {
-            "micro_f1": self.micro_f1,
-            "macro_f1": self.macro_f1,
-            "c_micro_f1": self.c_micro_f1,
-            "c_macro_f1": self.c_macro_f1,
-            "per_label": [
-                {"label": r.label, "f1": r.f1, "c_f1": r.c_f1, "support": r.support}
-                for r in self.per_label
-            ],
-            "inconsistent_docs": self.inconsistent_docs,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        # Replacing a key keeps its place, so the keys stay in field order.
+        return {**self._asdict(), "per_label": [row._asdict() for row in self.per_label]}
 
     def format_table(self) -> str:
         """Four-decimal summary table for terminal output."""

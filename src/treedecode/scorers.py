@@ -94,9 +94,14 @@ class BigramScorer:
     class declares ``markov_order = 1``, and never the text, so it declares
     ``reads_text = False``: beam search then scores each (last token,
     vocabulary) once per scorer object, whatever the number of documents
-    it decodes (see ``decoding.Scorer``). Only
-    the alphabet's size enters a probability, so its order carries no
-    meaning. The constructor, and so ``load``, raises ModelFormatError for
+    it decodes (see ``decoding.Scorer``). That memo leaves the rows their
+    use: an unconstrained decode scores the whole alphabet once per context,
+    mostly tokens never counted after it, and a row takes one logarithm per
+    counted token plus one for all the rest, not one per candidate. Without
+    the rows, the benchmark's ``ablation`` workload decoded 3.5% fewer
+    documents per second (medians of six alternating pairs; Python 3.11,
+    2 CPUs). Only the alphabet's size enters a probability, so its order
+    carries no meaning. The constructor, and so ``load``, raises ModelFormatError for
     an alphabet that is empty, repeats a token or holds a non-string (add-one
     would divide by 0 or count a token twice), and for a count that is not an
     integer in [0, 2**53) or whose next token is not in the alphabet.

@@ -38,10 +38,7 @@ class ValidationReport(NamedTuple):
         return {issue.code for issue in self.issues}
 
     def to_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "issues": [{"code": i.code, "message": i.message} for i in self.issues],
-        }
+        return {"ok": self.ok, "issues": [issue._asdict() for issue in self.issues]}
 
 
 class Taxonomy:
@@ -315,12 +312,7 @@ class DatasetStats(NamedTuple):
     split_sizes: dict[str, int]
 
     def to_dict(self) -> dict:
-        return {
-            "label_count": self.label_count,
-            "depth": self.depth,
-            "avg_labels": self.avg_labels,
-            "split_sizes": dict(self.split_sizes),
-        }
+        return {**self._asdict(), "split_sizes": dict(self.split_sizes)}
 
 
 def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Iterable[DocumentRecord]]) -> DatasetStats:

@@ -92,7 +92,8 @@ def test_linearize_inconsistent_requires_closure(tax_file, tmp_path, capsys):
     write_jsonl(corpus, [{"id": "x1", "text": "", "labels": ["Documentary", "Company"]}])
     code, _, err = run(capsys, "linearize", "--taxonomy", tax_file, "--input", str(corpus))
     assert code == 1
-    assert "x1" in err
+    message = "document 'x1': label set is not closed under ancestors; rerun with --closure"
+    assert err == json.dumps({"error": "INCONSISTENT_LABELSET", "message": message}) + "\n"
 
     code, out, err = run(
         capsys, "linearize", "--taxonomy", tax_file, "--input", str(corpus), "--closure",
@@ -143,8 +144,8 @@ def test_a_bad_gold_set_is_reported_with_its_document(argv, tax_file, tmp_path, 
     code, stdout, err = run(
         capsys, *argv, "--taxonomy", tax_file, "--input", str(corpus), "--output", str(out)
     )
-    advice = "run treedecode postprocess on the gold file" if argv[0] == "decode" else "apply ancestor_closure"
-    message = f"label set is not closed under ancestors; {advice} first"
+    advice = "run treedecode postprocess on the gold file first" if argv[0] == "decode" else "rerun with --closure"
+    message = f"label set is not closed under ancestors; {advice}"
     expected = {"error": "INCONSISTENT_LABELSET", "message": f"document 'b': {message}"}
     assert (code, stdout, err) == (1, "", json.dumps(expected) + "\n")
     assert not out.exists()

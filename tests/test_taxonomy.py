@@ -322,6 +322,8 @@ def test_stats_empty_corpus(media_tax):
     stats = dataset_stats(media_tax, {"train": [], "test": []})
     assert stats.avg_labels == 0
     assert stats.split_sizes == {"train": 0, "test": 0}
+    stats.to_dict()["split_sizes"]["dev"] = 0  # to_dict copies the sizes, so the record keeps its own
+    assert stats.split_sizes == {"train": 0, "test": 0}
 
 
 def test_stats_unknown_label_names_document(media_tax):
