@@ -179,6 +179,10 @@ def cmd_decode(args: argparse.Namespace) -> int:
     shared = _shared_scorer(args, tax)
     documents = decoded = inconsistent = 0
     overflowed = []
+    # A scorer that ignores the text gives every document the same search: it runs for the
+    # first document only, and its result (None for an overflow) serves the rest of this run.
+    blind = getattr(shared, "reads_text", True) is False
+    searched = False
     records = iter_documents(args.input)
     with buffered_output(sys.stdout if args.output == "-" else args.output) as out:
         # Records are read, and rows written, a block at a time: one read or written between
@@ -188,20 +192,24 @@ def cmd_decode(args: argparse.Namespace) -> int:
             rows = []
             for doc in block:
                 try:
-                    scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
-                    if args.mode == "constrained":
-                        result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
-                    else:
-                        result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
+                    if not (blind and searched):
+                        searched = True
+                        scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
+                        if args.mode == "constrained":
+                            result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
+                        else:
+                            result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
                 except DecodeOverflowError:
-                    overflowed.append(doc.id)
-                    continue
+                    result = None
                 except UnknownLabelError as err:  # the oracle's gold set
                     _report(err.code, err, doc.id)
                     raise _Reported from None
                 except InconsistentLabelSetError as err:  # decode has no --closure to apply
                     _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
                     raise _Reported from None
+                if result is None:
+                    overflowed.append(doc.id)
+                    continue
                 inconsistent += not tax.is_consistent(result.labels)
                 rows.append(result.to_dict(doc.id))
             decoded += len(rows)

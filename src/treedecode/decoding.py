@@ -32,7 +32,9 @@ and ``sequence_nll`` use the same kernel. A scorer that declares
 ``markov_order = 1`` is scored once per (last token, vocabulary) per
 decode; one that also declares ``reads_text = False`` once per (last
 token, vocabulary) for as long as the scorer object lives, its rows kept
-in a table that does not keep the scorer alive. Active hypotheses are
+in a table that does not keep the scorer alive. ``reads_text = False``
+alone also lets the CLI's ``decode`` search once per run and write that
+result for every document. Active hypotheses are
 plain ``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)``
 pairs, and only the final bank becomes ``DecodedSequence`` objects. A
 step ranks its expansions' float totals with one stable sort; a memo row,
@@ -79,9 +81,12 @@ class Scorer(Protocol):
     then scores each (last token, vocabulary) once per decode. Without it,
     or with another value, every hypothesis is scored at every step. The
     optional class attribute ``reads_text = False`` promises that scores do
-    not depend on ``text``. A scorer that makes both promises is scored
-    once per (last token, vocabulary) for as long as the object lives,
-    across every decode it serves; its scores must not change meanwhile.
+    not depend on ``text``, so every text gets the same search: the CLI's
+    ``decode`` then searches once per run, on its first document, and
+    writes that result for every document. A scorer that makes both
+    promises is also scored once per (last token, vocabulary) for as long
+    as the object lives, across every decode it serves; its scores must not
+    change meanwhile.
     """
 
     def score(

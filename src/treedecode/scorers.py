@@ -29,7 +29,17 @@ MAX_COUNT = 2**53
 
 
 class UniformScorer:
-    """Equal raw score (0.0) for every candidate."""
+    """Equal raw score (0.0) for every candidate.
+
+    Scores never read the text, so the class declares ``reads_text = False``
+    and the CLI's ``decode`` searches once per run, not once per document.
+    Scores read no prefix either, but the class declares no ``markov_order``:
+    a memo row costs a uniform search more than the scores it saves (one
+    beam-4 search of the benchmark's flat 12x2 tree took 11.3 ms with a
+    memo against 9.9 ms without, medians of 15; Python 3.11).
+    """
+
+    reads_text = False
 
     def score(self, text, prefix, candidates):
         return {token: 0.0 for token in candidates}
@@ -94,7 +104,8 @@ class BigramScorer:
     class declares ``markov_order = 1``, and never the text, so it declares
     ``reads_text = False``: beam search then scores each (last token,
     vocabulary) once per scorer object, whatever the number of documents
-    it decodes (see ``decoding.Scorer``). That memo leaves the rows their
+    it decodes, and the CLI's ``decode`` searches once per run, not once per
+    document (see ``decoding.Scorer``). That memo leaves the rows their
     use: an unconstrained decode scores the whole alphabet once per context,
     mostly tokens never counted after it, and a row takes one logarithm per
     counted token plus one for all the rest, not one per candidate. Without

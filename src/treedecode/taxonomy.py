@@ -204,9 +204,15 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        fields = [f.strip() for f in line.split("\t")]
+        # Split before stripping, so that a blank name stays a field; tabs after the child are ignored.
+        fields = [f.strip() for f in raw.split("\t")]
+        while len(fields) > 2 and not fields[-1]:
+            fields.pop()
         if len(fields) != 2:
             issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got {len(fields)} fields"))
+        elif not (fields[0] and fields[1]):
+            blank = "child" if fields[0] else "parent"
+            issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got an empty {blank} name"))
         else:
             edges.append((fields[0], fields[1]))
     return edges, issues

@@ -348,10 +348,12 @@ def test_order_one_memo_scores_each_context_once_per_decode():
 
 
 def test_only_the_bigram_scorer_declares_markov_order_one():
-    # The memo would change the results of a scorer that reads more than the last token,
-    # and sharing it across decodes those of a scorer that reads the text.
+    # The memo would change the results of a scorer that reads more than the last token, and
+    # sharing it across decodes, or one search across a decode run, those of a scorer that reads
+    # the text. The uniform scorer reads neither, but a memo row costs it more than it saves.
     assert BigramScorer.markov_order == 1
-    assert BigramScorer.reads_text is False
     for scorer in (UniformScorer, OracleScorer, RandomScorer):
         assert not hasattr(scorer, "markov_order")
+    assert BigramScorer.reads_text is UniformScorer.reads_text is False
+    for scorer in (OracleScorer, RandomScorer):
         assert not hasattr(scorer, "reads_text")

@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 from conftest import MEDIA_EDGES, TWO_PATH_RENDERED, UNIFORM_GREEDY_RENDERED
-from treedecode import cli, read_jsonl, write_jsonl
+from treedecode import cli, decoding, read_jsonl, write_jsonl
+from treedecode.errors import DecodeOverflowError
+from treedecode.scorers import BigramScorer, UniformScorer
 from treedecode.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -366,6 +368,78 @@ def test_decode_bigram_rows_do_not_leak_between_documents(mode, block, tmp_path,
 
     alone = b"".join(decode([line], f"alone{index}") for index, line in enumerate(documents))
     assert decode(documents, "all") == alone
+
+
+MEDIA_TAXONOMY, MEDIA_CORPUS = str(ROOT / "demos/data/media.tsv"), str(ROOT / "demos/data/corpus.jsonl")
+MEDIA_IDS = ["d1", "d2", "d3", "d4", "d5"]
+
+
+def _count_searches(monkeypatch) -> list[str]:
+    """Wrap both decode modes' searches; the list gets one entry per call, naming the text searched."""
+    texts = []
+    for name in ("constrained_beam_search", "unconstrained_decode"):
+        def counted(tax, scorer, text, beam_width, _search=getattr(decoding, name)):
+            texts.append(text)
+            return _search(tax, scorer, text, beam_width)
+        monkeypatch.setattr(decoding, name, counted)
+    return texts
+
+
+def _decode_media(capsys, tmp_path, name, *options):
+    """Decode the demo corpus; returns the exit code, the predictions' bytes and the stderr summary."""
+    target = tmp_path / f"{name}.pred.jsonl"
+    code, out, err = run(capsys, "decode", "--taxonomy", MEDIA_TAXONOMY, "--input", MEDIA_CORPUS,
+                         "--output", str(target), *options)
+    assert out == ""
+    return code, target.read_bytes(), json.loads(err.splitlines()[-1])
+
+
+@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
+@pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
+@pytest.mark.parametrize("scorer", [BigramScorer, UniformScorer], ids=["bigram", "uniform"])
+def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, block, tmp_path, capsys, monkeypatch):
+    # The one search's result is every document's row: the bytes and the summary of a run that
+    # searches once per document, with the scorer's promise withdrawn, are the same.
+    if block is not None:
+        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
+    options = ["--mode", mode, "--beam", "1"]
+    if scorer is BigramScorer:
+        model = tmp_path / "model.json"
+        assert run(capsys, "fit", "--taxonomy", MEDIA_TAXONOMY, "--input", MEDIA_CORPUS, "--output", str(model))[0] == 0
+        options += ["--scorer", "bigram", "--model", str(model)]
+    texts = _count_searches(monkeypatch)
+    once = _decode_media(capsys, tmp_path, "once", *options)
+    assert len(texts) == 1
+    monkeypatch.setattr(scorer, "reads_text", True)
+    texts.clear()
+    each = _decode_media(capsys, tmp_path, "each", *options)
+    assert len(set(texts)) == len(texts) == len(MEDIA_IDS)
+    assert once == each
+    assert once[0] == 0 and once[2]["decoded"] == len(MEDIA_IDS)
+    assert [row["id"] for row in read_jsonl(tmp_path / "once.pred.jsonl")] == MEDIA_IDS
+
+
+@pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
+def test_the_oracle_still_searches_once_per_document(mode, tmp_path, capsys, monkeypatch):
+    texts = _count_searches(monkeypatch)
+    code, _, summary = _decode_media(capsys, tmp_path, "oracle", "--scorer", "oracle", "--mode", mode)
+    assert code == 0
+    assert len(set(texts)) == len(texts) == summary["decoded"] == len(MEDIA_IDS)
+
+
+@pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
+def test_an_overflow_of_the_one_search_overflows_every_document(mode, tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def overflow(tax, scorer, text, beam_width):
+        calls.append(text)
+        raise DecodeOverflowError("no sequence ended within the length budget")
+
+    monkeypatch.setattr(decoding, "constrained_beam_search", overflow)
+    monkeypatch.setattr(decoding, "unconstrained_decode", overflow)
+    code, predictions, summary = _decode_media(capsys, tmp_path, "overflow", "--mode", mode)
+    assert (code, predictions, len(calls)) == (1, b"", 1)
+    assert summary == {"documents": 5, "decoded": 0, "inconsistent": 0, "overflow": MEDIA_IDS}
 
 
 def test_label_with_whitespace_is_an_invalid_taxonomy(tmp_path, corpus_file, capsys):

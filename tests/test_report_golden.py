@@ -42,7 +42,7 @@ INVALID = b"""\
   "issues": [
     {
       "code": "EMPTY",
-      "message": "line 10: expected parent<TAB>child, got 1 fields"
+      "message": "line 10: expected parent<TAB>child, got an empty child name"
     },
     {
       "code": "DUPLICATE_EDGE",

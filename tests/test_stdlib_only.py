@@ -39,7 +39,8 @@ def test_the_check_sees_a_third_party_import(tmp_path):
 
 
 # Run by a fresh interpreter with no site hooks (-I -S), so its first modules are a bare
-# baseline; prints the modules each step has added to it so far.
+# baseline; prints the modules each step has added to it so far. -I ignores
+# PYTHONDONTWRITEBYTECODE, so -B keeps it from leaving src/treedecode/__pycache__ behind.
 COLD_START = """
 import sys
 baseline = set(sys.modules)
@@ -60,7 +61,7 @@ def test_import_loads_neither_dataclasses_nor_hashlib():
     # dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads OpenSSL: together
     # about half of a cold import. Only RandomScorer hashes, so only building one loads hashlib.
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", COLD_START, str(SRC)],
+        [sys.executable, "-I", "-S", "-B", "-c", COLD_START, str(SRC)],
         capture_output=True, text=True, timeout=60, check=True,
     )
     added = json.loads(done.stdout)

@@ -47,6 +47,11 @@ def test_comments_and_blank_lines_ignored():
     assert tax.children("Root") == ("A", "B")
 
 
+def test_tabs_and_blanks_after_the_child_are_ignored():
+    tax = parse_taxonomy("Root\tA\t\nA\tB\t \t\n")
+    assert tax.children("Root") == ("A",) and tax.children("A") == ("B",)
+
+
 @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_crlf_and_cr_line_ends_parse_like_lf(newline):
     assert parse_taxonomy(MEDIA_EDGES.replace("\n", newline)) == parse_taxonomy(MEDIA_EDGES)
@@ -98,7 +103,7 @@ def _issues(*pairs: tuple[str, str]) -> dict:
             _issues(
                 ("EMPTY", "line 3: expected parent<TAB>child, got 1 fields"),
                 ("EMPTY", "line 4: expected parent<TAB>child, got 3 fields"),
-                ("EMPTY", "line 5: expected parent<TAB>child, got 1 fields"),
+                ("EMPTY", "line 5: expected parent<TAB>child, got an empty child name"),
                 ("DUPLICATE_EDGE", "duplicate edge 'Root' -> 'A'"),
                 ("MULTIPLE_PARENTS", "'A' has parents ['B', 'Root']"),
                 ("MULTIPLE_ROOTS", "multiple root candidates: ['Root', 'B']"),
@@ -113,11 +118,13 @@ def _issues(*pairs: tuple[str, str]) -> dict:
             "\ufeffRoot\tA\nRoot\tB\n",
             _issues(("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)")),
         ),
-        (  # the line is stripped before the split, so a blank field leaves one field
-            "Root\tA\n\tB\nC\t \n",
+        (  # the line is split before its fields are stripped, so a blank name is named as one
+            "Root\tA\n\tB\nC\t \nD\t\t\n\tE\tF\n",
             _issues(
-                ("EMPTY", "line 2: expected parent<TAB>child, got 1 fields"),
-                ("EMPTY", "line 3: expected parent<TAB>child, got 1 fields"),
+                ("EMPTY", "line 2: expected parent<TAB>child, got an empty parent name"),
+                ("EMPTY", "line 3: expected parent<TAB>child, got an empty child name"),
+                ("EMPTY", "line 4: expected parent<TAB>child, got an empty child name"),
+                ("EMPTY", "line 5: expected parent<TAB>child, got 3 fields"),
             ),
         ),
         # Only \n, \r\n and \r end a line, as under universal newlines; str.splitlines() would
