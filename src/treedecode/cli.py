@@ -191,30 +191,33 @@ def cmd_decode(args: argparse.Namespace) -> int:
             documents += len(block)
             rows = []
             for doc in block:
-                try:
-                    if not (blind and searched):
-                        searched = True
+                if not (blind and searched):
+                    searched = True
+                    try:
                         scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
                         if args.mode == "constrained":
                             result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
                         else:
                             result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
-                except DecodeOverflowError:
-                    result = None
-                except UnknownLabelError as err:  # the oracle's gold set
-                    _report(err.code, err, doc.id)
-                    raise _Reported from None
-                except InconsistentLabelSetError as err:  # decode has no --closure to apply
-                    _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
-                    raise _Reported from None
+                    except DecodeOverflowError:
+                        result = None
+                    except UnknownLabelError as err:  # the oracle's gold set
+                        _report(err.code, err, doc.id)
+                        raise _Reported from None
+                    except InconsistentLabelSetError as err:  # decode has no --closure to apply
+                        _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
+                        raise _Reported from None
+                    if result is not None:
+                        # A result is checked, and its fields after the leading "id" encoded, once per search.
+                        consistent = tax.is_consistent(result.labels)
+                        tail = json.dumps(result.to_dict(""))[len('{"id": ""'):] + "\n"
                 if result is None:
                     overflowed.append(doc.id)
                     continue
-                inconsistent += not tax.is_consistent(result.labels)
-                rows.append(result.to_dict(doc.id))
+                inconsistent += not consistent
+                rows.append('{"id": ' + json.dumps(doc.id) + tail)
             decoded += len(rows)
-            for row in rows:
-                out.write(json.dumps(row) + "\n")
+            out.write("".join(rows))
     summary = {
         "documents": documents,
         "decoded": decoded,

@@ -30,24 +30,21 @@ the scorer's mapping once into a list aligned with the tuple, ignoring
 other keys, and turns it into log probabilities; ``restricted_log_softmax``
 and ``sequence_nll`` use the same kernel. A scorer that declares
 ``markov_order = 1`` is scored once per (last token, vocabulary) per
-decode; one that also declares ``reads_text = False`` once per (last
-token, vocabulary) for as long as the scorer object lives, its rows kept
-in a table that does not keep the scorer alive. ``reads_text = False``
-alone also lets the CLI's ``decode`` search once per run and write that
-result for every document. Active hypotheses are
-plain ``(logprob, tokens, frame)`` tuples, banked ones ``(key, tokens)``
-pairs, and only the final bank becomes ``DecodedSequence`` objects. A
-step ranks its expansions' float totals with one stable sort; a memo row,
-ranked once when it is stored, adds only its ``beam_width`` best plus
-rounding ties. Only the survivors are built, each with one prefix copy and
-one frame advance, an O(|V|) splice. The public ``DecoderState``
-keeps the stack and visited labels instead, which frames cannot give back.
+decode, in a memo that lives for that decode only. ``reads_text = False``
+is read by the CLI's ``decode`` alone, which then searches once per run.
+Active hypotheses are plain ``(logprob, tokens, frame)`` tuples, banked
+ones ``(key, tokens)`` pairs, and only the final bank becomes
+``DecodedSequence`` objects. A step ranks its expansions' float totals
+with one stable sort; a memo row, ranked once when it is stored, adds only
+its ``beam_width`` best plus rounding ties. Only the survivors are built,
+each with one prefix copy and one frame advance, an O(|V|) splice. The
+public ``DecoderState`` keeps the stack and visited labels instead, which
+frames cannot give back.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from bisect import bisect_right
 from collections.abc import Collection, Mapping, Sequence
 from operator import itemgetter
@@ -83,10 +80,7 @@ class Scorer(Protocol):
     optional class attribute ``reads_text = False`` promises that scores do
     not depend on ``text``, so every text gets the same search: the CLI's
     ``decode`` then searches once per run, on its first document, and
-    writes that result for every document. A scorer that makes both
-    promises is also scored once per (last token, vocabulary) for as long
-    as the object lives, across every decode it serves; its scores must not
-    change meanwhile.
+    writes that result for every document.
     """
 
     def score(
@@ -260,31 +254,6 @@ def _memo_picks(row: tuple, logprob: float, beam_width: int) -> list[int]:
     return sorted(order[:cut])
 
 
-# Per text-blind order-1 scorer object: its memo, shared by every decode it serves.
-_SHARED_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
-def _memo(scorer: Scorer) -> dict | None:
-    """The ``(last token, vocabulary) -> (log probs, order)`` rows ``_beam`` reads and fills.
-
-    None unless the scorer declares ``markov_order = 1``. Its rows then
-    depend only on their keys and the text, and with ``reads_text = False``
-    on their keys alone, so they stay with the scorer object (objects that
-    compare equal share them) and serve decodes of any width: ``order``
-    ignores the width, which ``_memo_picks`` takes on each call. Other
-    order-1 scorers, and those that cannot be weak keys (unhashable, or
-    without a ``__weakref__`` slot), get fresh rows per decode.
-    """
-    if getattr(scorer, "markov_order", None) != 1:
-        return None
-    if getattr(scorer, "reads_text", True) is not False:
-        return {}
-    try:
-        return _SHARED_MEMOS.setdefault(scorer, {})
-    except TypeError:
-        return {}
-
-
 def _beam(
     tax: Taxonomy, scorer: Scorer, text: str, beam_width: int, constrained: bool
 ) -> list[DecodedSequence]:
@@ -312,7 +281,8 @@ def _beam(
     if beam_width < 1:
         raise ValueError(f"beam_width must be >= 1, got {beam_width}")
     limit = max_decode_length(tax)
-    memo = _memo(scorer)
+    # (last token, vocabulary) -> (log probs, order): an order-1 scorer's rows, for this decode only.
+    memo = {} if getattr(scorer, "markov_order", None) == 1 else None
     frame = _start_frame(tax) if constrained else (full_alphabet(tax), None)
     active = [(0.0, (tax.root,), frame)]
     banked: list[tuple[tuple, tuple[str, ...]]] = []  # ((-logprob, token ranks), tokens)

@@ -101,12 +101,12 @@ class BigramScorer:
     one shared value for every uncounted token, each computed exactly as
     ``math.log(probability(prev, token))``. The counts are not meant to
     change after construction. Scores read only ``prefix[-1]``, so the
-    class declares ``markov_order = 1``, and never the text, so it declares
-    ``reads_text = False``: beam search then scores each (last token,
-    vocabulary) once per scorer object, whatever the number of documents
-    it decodes, and the CLI's ``decode`` searches once per run, not once per
-    document (see ``decoding.Scorer``). That memo leaves the rows their
-    use: an unconstrained decode scores the whole alphabet once per context,
+    class declares ``markov_order = 1``: beam search then scores each (last
+    token, vocabulary) once per decode. They never read the text, so it
+    declares ``reads_text = False``: the CLI's ``decode`` then searches once
+    per run, not once per document (see ``decoding.Scorer``). The beam's
+    memo leaves the rows their use: an unconstrained decode scores the
+    whole alphabet once per context,
     mostly tokens never counted after it, and a row takes one logarithm per
     counted token plus one for all the rest, not one per candidate. Without
     the rows, the benchmark's ``ablation`` workload decoded 3.5% fewer

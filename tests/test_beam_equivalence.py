@@ -8,9 +8,9 @@ builds only the survivors; both must return the same results in the same
 order.
 
 A scorer that declares ``markov_order = 1`` is scored once per (last
-token, vocabulary) per decode, and once per scorer object when it also
-declares ``reads_text = False``; ``Forwarding`` hides both declarations,
-so the same scorer behind it is scored for every hypothesis at every step.
+token, vocabulary) per decode, whatever else it declares; ``Forwarding``
+hides the declaration, so the same scorer behind it is scored for every
+hypothesis at every step.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ from treedecode import (
     step,
     unconstrained_decode,
 )
-from treedecode.decoding import _SHARED_MEMOS, _beam
+from treedecode.decoding import _beam
 from treedecode.tokens import sequence_sort_key, token_sort_key
 
 
@@ -252,66 +252,35 @@ def unconstrained_score_calls(rng, cases, kind=CountingBigram):
 
 
 def test_order_one_memo_lives_in_one_decode():
-    # A scorer that may read the text keeps no row past its decode: the second decode scores afresh.
-    for tax, scorer, calls, _ in unconstrained_score_calls(random.Random(2207), 20, TextReadingBigram):
-        unconstrained_decode(tax, scorer, "text", 4)
-        assert scorer.calls == 2 * calls
-        assert scorer not in _SHARED_MEMOS
+    # Whether or not the scorer may read the text, no row outlives its decode: the second scores afresh.
+    for kind in (CountingBigram, TextReadingBigram):
+        for tax, scorer, calls, _ in unconstrained_score_calls(random.Random(2207), 20, kind):
+            unconstrained_decode(tax, scorer, "text", 4)
+            assert scorer.calls == 2 * calls, kind.__name__
 
 
-def test_text_blind_memo_outlives_a_decode():
-    # Under both promises a row depends only on its key, so another text scores nothing new.
-    rng = random.Random(2209)
-    first_calls = 0
-    for case in range(30):
-        tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
-        for constrained in (True, False):
-            for width in (1, 2, 4, 8):
-                scorer = counting_bigram(rng, tax)
-                first = bit_exact(_beam(tax, scorer, f"case {case}", width, constrained))
-                first_calls += scorer.calls
-                before = scorer.calls
-                second = bit_exact(_beam(tax, scorer, f"other text {case}", width, constrained))
-                assert scorer.calls == before
-                assert second == first
-                assert second == bit_exact(_beam(tax, Forwarding(scorer), f"other text {case}", width, constrained))
-    assert first_calls > 0
-
-
-def test_text_blind_memo_is_shared_across_widths_and_modes():
-    # Rows are ranked without the width, so decodes of every width and mode agree with fresh searches.
+def test_one_scorer_decodes_every_width_and_mode_as_a_plain_search():
+    # One scorer object decoded at every width and mode in turn agrees with memo-free searches.
     rng = random.Random(2210)
     for case in range(30):
         tax = random_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
         scorer = counting_bigram(rng, tax)
         for constrained in (True, False, True):
             for width in (8, 1, 4, 2, 8):
-                shared = bit_exact(_beam(tax, scorer, f"case {case}", width, constrained))
-                assert shared == bit_exact(_beam(tax, Forwarding(scorer), "", width, constrained))
+                memoized = bit_exact(_beam(tax, scorer, f"case {case}", width, constrained))
+                assert memoized == bit_exact(_beam(tax, Forwarding(scorer), "", width, constrained))
 
 
-@pytest.mark.parametrize("constrained", [True, False], ids=["constrained", "unconstrained"])
-def test_text_blind_memo_stops_growing_after_one_decode(constrained):
-    # With one taxonomy and one width every document's search is the same, so later decodes add no row.
-    tax = random_taxonomy(random.Random(2211), 31, max_depth=4)
-    scorer = counting_bigram(random.Random(2212), tax)
-    _beam(tax, scorer, "document 0", 4, constrained)
-    rows, calls = len(_SHARED_MEMOS[scorer]), scorer.calls
-    for doc in range(1, 50):
-        _beam(tax, scorer, f"document {doc}", 4, constrained)
-    assert len(_SHARED_MEMOS[scorer]) == rows > 0
-    assert scorer.calls == calls
-
-
-def test_text_blind_memo_does_not_keep_its_scorer_alive():
+def test_no_decode_keeps_its_scorer_alive():
     tax = random_taxonomy(random.Random(2213), 12, max_depth=3)
-    scorer = counting_bigram(random.Random(2214), tax)
-    _beam(tax, scorer, "", 4, True)
-    alive = weakref.ref(scorer)
-    assert scorer in _SHARED_MEMOS
-    del scorer
-    gc.collect()
-    assert alive() is None
+    for kind in (CountingBigram, TextReadingBigram):
+        scorer = counting_bigram(random.Random(2214), tax, kind)
+        for constrained in (True, False):
+            _beam(tax, scorer, "", 4, constrained)
+        alive = weakref.ref(scorer)
+        del scorer
+        gc.collect()
+        assert alive() is None, kind.__name__
 
 
 @dataclass
@@ -328,7 +297,8 @@ class TextBlindRecord:
         return {t: -len(prefix[-1]) * self.step * i for i, t in enumerate(candidates)}
 
 
-def test_unhashable_text_blind_scorer_keeps_one_decode_memo():
+def test_an_unhashable_order_one_scorer_is_memoized_per_decode():
+    # The memo's keys are (last token, vocabulary), never the scorer, so any scorer object has one.
     tax = random_taxonomy(random.Random(2215), 12, max_depth=3)
     scorer = TextBlindRecord(0.25)
     first = bit_exact(_beam(tax, scorer, "", 4, False))
@@ -348,9 +318,9 @@ def test_order_one_memo_scores_each_context_once_per_decode():
 
 
 def test_only_the_bigram_scorer_declares_markov_order_one():
-    # The memo would change the results of a scorer that reads more than the last token, and
-    # sharing it across decodes, or one search across a decode run, those of a scorer that reads
-    # the text. The uniform scorer reads neither, but a memo row costs it more than it saves.
+    # The memo would change the results of a scorer that reads more than the last token, and one
+    # search per decode run those of a scorer that reads the text. The uniform scorer reads
+    # neither, but a memo row costs it more than it saves.
     assert BigramScorer.markov_order == 1
     for scorer in (UniformScorer, OracleScorer, RandomScorer):
         assert not hasattr(scorer, "markov_order")

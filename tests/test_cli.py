@@ -385,13 +385,22 @@ def _count_searches(monkeypatch) -> list[str]:
     return texts
 
 
-def _decode_media(capsys, tmp_path, name, *options):
+def _decode_media(capsys, tmp_path, name, *options, corpus=MEDIA_CORPUS):
     """Decode the demo corpus; returns the exit code, the predictions' bytes and the stderr summary."""
     target = tmp_path / f"{name}.pred.jsonl"
-    code, out, err = run(capsys, "decode", "--taxonomy", MEDIA_TAXONOMY, "--input", MEDIA_CORPUS,
+    code, out, err = run(capsys, "decode", "--taxonomy", MEDIA_TAXONOMY, "--input", str(corpus),
                          "--output", str(target), *options)
     assert out == ""
     return code, target.read_bytes(), json.loads(err.splitlines()[-1])
+
+
+def _scorer_options(capsys, tmp_path, scorer) -> list[str]:
+    """The decode options that select a text-blind scorer, fitting the bigram model on the demo corpus."""
+    if scorer is UniformScorer:
+        return []
+    model = tmp_path / "model.json"
+    assert run(capsys, "fit", "--taxonomy", MEDIA_TAXONOMY, "--input", MEDIA_CORPUS, "--output", str(model))[0] == 0
+    return ["--scorer", "bigram", "--model", str(model)]
 
 
 @pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
@@ -402,11 +411,7 @@ def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, block, t
     # searches once per document, with the scorer's promise withdrawn, are the same.
     if block is not None:
         monkeypatch.setattr(cli, "DECODE_BLOCK", block)
-    options = ["--mode", mode, "--beam", "1"]
-    if scorer is BigramScorer:
-        model = tmp_path / "model.json"
-        assert run(capsys, "fit", "--taxonomy", MEDIA_TAXONOMY, "--input", MEDIA_CORPUS, "--output", str(model))[0] == 0
-        options += ["--scorer", "bigram", "--model", str(model)]
+    options = ["--mode", mode, "--beam", "1", *_scorer_options(capsys, tmp_path, scorer)]
     texts = _count_searches(monkeypatch)
     once = _decode_media(capsys, tmp_path, "once", *options)
     assert len(texts) == 1
@@ -417,6 +422,29 @@ def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, block, t
     assert once == each
     assert once[0] == 0 and once[2]["decoded"] == len(MEDIA_IDS)
     assert [row["id"] for row in read_jsonl(tmp_path / "once.pred.jsonl")] == MEDIA_IDS
+
+
+ESCAPED_IDS = ['say "hi"', "back\\slash", "caf\u00e9 \u2615", "line\u2028break", "bell\x07"]
+
+
+@pytest.mark.parametrize("scorer", [BigramScorer, UniformScorer], ids=["bigram", "uniform"])
+def test_a_text_blind_run_encodes_ids_that_need_escaping_as_a_run_per_document_does(
+    scorer, tmp_path, capsys, monkeypatch
+):
+    # The one search's fields are encoded once and each id on its own: a quote, a backslash,
+    # non-ASCII, U+2028 and a control character must come out as json.dumps writes them per row.
+    corpus = tmp_path / "escaped.jsonl"
+    write_jsonl(corpus, [dict(doc, id=new) for doc, new in zip(read_jsonl(MEDIA_CORPUS), ESCAPED_IDS)])
+    options = _scorer_options(capsys, tmp_path, scorer)
+    once = _decode_media(capsys, tmp_path, "once", *options, corpus=corpus)
+    monkeypatch.setattr(scorer, "reads_text", True)
+    each = _decode_media(capsys, tmp_path, "each", *options, corpus=corpus)
+    assert once == each
+    assert once[0] == 0 and once[2]["decoded"] == len(ESCAPED_IDS)
+    # Both runs share the encoding, so each line is also checked against json.dumps of its row.
+    rows = [json.loads(line) for line in once[1].split(b"\n")[:-1]]
+    assert [row["id"] for row in rows] == ESCAPED_IDS
+    assert once[1] == "".join(json.dumps(row) + "\n" for row in rows).encode()
 
 
 @pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
