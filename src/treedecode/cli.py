@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import sys
 from collections.abc import Iterable
@@ -33,7 +32,6 @@ from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
 from .tokens import POP, parse_sequence, render_sequence
 
 
-DECODE_BLOCK = 1024  # records decode holds at a time
 # The library's closure error advises a call; the commands advise a step a user can take.
 _UNCLOSED = "label set is not closed under ancestors; "
 
@@ -177,50 +175,40 @@ def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
 def cmd_decode(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     shared = _shared_scorer(args, tax)
-    documents = decoded = inconsistent = 0
+    documents = inconsistent = 0
     overflowed = []
     # A scorer that ignores the text gives every document the same search: it runs for the
     # first document only, and its result (None for an overflow) serves the rest of this run.
     blind = getattr(shared, "reads_text", True) is False
-    searched = False
-    records = iter_documents(args.input)
     with buffered_output(sys.stdout if args.output == "-" else args.output) as out:
-        # Records are read, and rows written, a block at a time: one read or written between
-        # two searches took twice as long, its code and data evicted by the search.
-        while block := list(itertools.islice(records, DECODE_BLOCK)):
-            documents += len(block)
-            rows = []
-            for doc in block:
-                if not (blind and searched):
-                    searched = True
-                    try:
-                        scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
-                        if args.mode == "constrained":
-                            result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
-                        else:
-                            result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
-                    except DecodeOverflowError:
-                        result = None
-                    except UnknownLabelError as err:  # the oracle's gold set
-                        _report(err.code, err, doc.id)
-                        raise _Reported from None
-                    except InconsistentLabelSetError as err:  # decode has no --closure to apply
-                        _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
-                        raise _Reported from None
-                    if result is not None:
-                        # A result is checked, and its fields after the leading "id" encoded, once per search.
-                        consistent = tax.is_consistent(result.labels)
-                        tail = json.dumps(result.to_dict(""))[len('{"id": ""'):] + "\n"
-                if result is None:
-                    overflowed.append(doc.id)
-                    continue
-                inconsistent += not consistent
-                rows.append('{"id": ' + json.dumps(doc.id) + tail)
-            decoded += len(rows)
-            out.write("".join(rows))
+        for documents, doc in enumerate(iter_documents(args.input), start=1):
+            if not blind or documents == 1:
+                try:
+                    scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
+                    if args.mode == "constrained":
+                        result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
+                    else:
+                        result = decoding.unconstrained_decode(tax, scorer, doc.text, args.beam)
+                except DecodeOverflowError:
+                    result = None
+                except UnknownLabelError as err:  # the oracle's gold set
+                    _report(err.code, err, doc.id)
+                    raise _Reported from None
+                except InconsistentLabelSetError as err:  # decode has no --closure to apply
+                    _report(err.code, _UNCLOSED + "run treedecode postprocess on the gold file first", doc.id)
+                    raise _Reported from None
+                if result is not None:
+                    # A result is checked, and its fields after the leading "id" encoded, once per search.
+                    consistent = tax.is_consistent(result.labels)
+                    tail = json.dumps(result.to_dict(""))[len('{"id": ""'):] + "\n"
+            if result is None:
+                overflowed.append(doc.id)
+                continue
+            inconsistent += not consistent
+            out.write('{"id": ' + json.dumps(doc.id) + tail)
     summary = {
         "documents": documents,
-        "decoded": decoded,
+        "decoded": documents - len(overflowed),
         "inconsistent": inconsistent,
         "overflow": overflowed,
     }
@@ -242,7 +230,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     tax = _load_taxonomy(args.taxonomy)
     # Records are read one at a time; gold keeps no text, and predictions are kept for alignment.
     gold_docs = [doc._replace(text="") for doc in iter_documents(args.gold)]
-    predictions = {doc.id: required_labels(doc) for doc in iter_documents(args.predictions)}
+    predictions = {doc.id: required_labels(doc, "--predictions") for doc in iter_documents(args.predictions)}
     gold_ids = [doc.id for doc in gold_docs]
     missing = sorted(set(gold_ids) - set(predictions))
     extra = sorted(set(predictions) - set(gold_ids))
@@ -250,14 +238,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise AlignmentError(
             f"ids without predictions: {missing or 'none'}; predictions without gold: {extra or 'none'}"
         )
-    gold_sets = [required_labels(doc) for doc in gold_docs]
+    gold_sets = [required_labels(doc, "--gold") for doc in gold_docs]
     pred_sets = [predictions[doc_id] for doc_id in gold_ids]
     try:
         report = metrics.evaluate(tax, gold_sets, pred_sets)
     except UnknownLabelError as err:  # sets are checked in order: the first holding the label failed
         doc_id, gold = next((i, g) for i, g, p in zip(gold_ids, gold_sets, pred_sets) if err.label in g | p)
-        _report(err.code, f"{err} in {'--gold' if err.label in gold else '--predictions'}", doc_id)
-        return 1
+        raise UnknownLabelError(err.label, doc_id, "--gold" if err.label in gold else "--predictions") from None
     print(report.format_table())
     text = json.dumps(report.to_dict(), indent=2)
     if args.output:

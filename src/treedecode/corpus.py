@@ -101,10 +101,11 @@ def records_with_ids(path: str | Path) -> Iterator[tuple[int, str, dict]]:
         yield index, doc_id, row
 
 
-def required_labels(doc: DocumentRecord) -> frozenset[str]:
-    """A record's labels, which must be present (``[]`` is an empty set)."""
+def required_labels(doc: DocumentRecord, source: str | None = None) -> frozenset[str]:
+    """A record's labels, which must be present (``[]`` is an empty set); ``source`` names its file."""
     if doc.labels is None:
-        raise CorpusFormatError(f"document {doc.id!r} has no labels")
+        where = "" if source is None else f" in {source}"
+        raise CorpusFormatError(f"document {doc.id!r} has no labels{where}")
     return doc.labels
 
 

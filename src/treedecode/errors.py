@@ -21,13 +21,14 @@ class InvalidTaxonomyError(TreeDecodeError):
 
 
 class UnknownLabelError(TreeDecodeError):
-    """A name that is not a label (unknown, or the root), in ``document`` if one is given."""
+    """A name that is not a label (unknown, or the root), in ``document`` of ``source`` if given."""
 
     code = "UNKNOWN_LABEL"
 
-    def __init__(self, label: str, document: str | None = None):
+    def __init__(self, label: str, document: str | None = None, source: str | None = None):
         prefix = "" if document is None else f"document {document!r}: "
-        super().__init__(f"{prefix}unknown label {label!r}")
+        where = "" if source is None else f" in {source}"
+        super().__init__(f"{prefix}unknown label {label!r}{where}")
         self.label = label
 
 

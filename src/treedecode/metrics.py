@@ -43,25 +43,22 @@ class ConfusionCounts(NamedTuple):
         return LabelCounts(*map(sum, zip(*self.per_label.values())))
 
 
-def confusion_counts(
+def _tally(
     tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]
-) -> tuple[ConfusionCounts, ConfusionCounts]:
-    """Tally ``(standard, constrained)`` counts over index-aligned gold/predicted label sets.
-
-    Both come from one pass. A gold prediction whose parent is neither the root nor a
-    path-complete prediction is denied: the constrained counts move it from tp to fp and fn.
-    A label that is unknown or the root raises UnknownLabelError, the first in name order.
-    """
+) -> tuple[ConfusionCounts, ConfusionCounts, int]:
+    """``confusion_counts``' pair and the number of inconsistent predicted sets, in one pass."""
     if len(gold) != len(pred):
         raise AlignmentError(f"{len(gold)} gold documents vs {len(pred)} predictions")
     tp = {label: 0 for label in tax.labels}
     fp, fn, denied = dict(tp), dict(tp), dict(tp)
+    inconsistent = 0
     for gold_doc, pred_doc in zip(gold, pred):
         tax._require_labels(gold_doc | pred_doc)
         complete = {tax.root}
         for label in sorted(pred_doc, key=tax._depth.__getitem__):  # parents first
             if tax._parent[label] in complete:
                 complete.add(label)
+        inconsistent += len(complete) != len(pred_doc) + 1  # not closed under ancestors
         for label in gold_doc & pred_doc:
             tp[label] += 1
             denied[label] += label not in complete
@@ -71,7 +68,19 @@ def confusion_counts(
             fn[label] += 1
     standard = {label: LabelCounts(tp[label], fp[label], fn[label]) for label in tax.labels}
     constrained = {label: LabelCounts(tp[label] - d, fp[label] + d, fn[label] + d) for label, d in denied.items()}
-    return ConfusionCounts(standard), ConfusionCounts(constrained)
+    return ConfusionCounts(standard), ConfusionCounts(constrained), inconsistent
+
+
+def confusion_counts(
+    tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]
+) -> tuple[ConfusionCounts, ConfusionCounts]:
+    """Tally ``(standard, constrained)`` counts over index-aligned gold/predicted label sets.
+
+    Both come from one pass. A gold prediction whose parent is neither the root nor a
+    path-complete prediction is denied: the constrained counts move it from tp to fp and fn.
+    A label that is unknown or the root raises UnknownLabelError, the first in name order.
+    """
+    return _tally(tax, gold, pred)[:2]
 
 
 def micro_f1(counts: ConfusionCounts) -> float:
@@ -117,8 +126,8 @@ class MetricsReport(NamedTuple):
 
 
 def evaluate(tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]) -> MetricsReport:
-    """Compute standard and path-constrained metrics for aligned label sets."""
-    standard, constrained = confusion_counts(tax, gold, pred)
+    """Compute standard and path-constrained metrics for aligned label sets, checking each once."""
+    standard, constrained, inconsistent = _tally(tax, gold, pred)
     rows = tuple(
         PerLabelRow(
             label=label,
@@ -134,5 +143,5 @@ def evaluate(tax: Taxonomy, gold: Sequence[Set[str]], pred: Sequence[Set[str]]) 
         c_micro_f1=micro_f1(constrained),
         c_macro_f1=macro_f1(constrained),
         per_label=rows,
-        inconsistent_docs=sum(1 for p in pred if not tax.is_consistent(p)),
+        inconsistent_docs=inconsistent,
     )

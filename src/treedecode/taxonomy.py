@@ -121,11 +121,11 @@ class Taxonomy:
         if node not in self._depth:
             raise UnknownLabelError(node)
 
-    def _require_labels(self, names: set[str], document: str | None = None) -> set[str]:
+    def _require_labels(self, names: set[str], document: str | None = None, source: str | None = None) -> set[str]:
         """Return ``names``, or raise UnknownLabelError naming the first, in name order, that is unknown or the root."""
         unknown = names.difference(self._parent)
         if unknown:
-            raise UnknownLabelError(min(unknown), document)
+            raise UnknownLabelError(min(unknown), document, source)
         return names
 
     def parent(self, node: str) -> str | None:
@@ -329,15 +329,16 @@ def dataset_stats(tax: Taxonomy, corpora: Mapping[str, Iterable[DocumentRecord]]
     cardinality over all splits combined (0 for an empty corpus). Raises
     CorpusFormatError for a document without labels (``[]`` counts as 0)
     and UnknownLabelError for the first label in name order that is unknown
-    or the root, naming its document.
+    or the root, each naming the document `` in split '<name>'``.
     """
     total_labels = 0
     split_sizes: dict[str, int] = {}
     for split, docs in corpora.items():
         split_sizes[split] = 0
+        source = f"split {split!r}"
         for doc in docs:
-            labels = required_labels(doc)
-            tax._require_labels(labels, doc.id)
+            labels = required_labels(doc, source)
+            tax._require_labels(labels, doc.id, source)
             total_labels += len(labels)
             split_sizes[split] += 1
     total_docs = sum(split_sizes.values())

@@ -346,12 +346,9 @@ def test_decode_bigram_reads_a_model_alphabet_in_any_order(tax_file, corpus_file
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
 @pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
-def test_decode_bigram_rows_do_not_leak_between_documents(mode, block, tmp_path, capsys, monkeypatch):
+def test_decode_bigram_rows_do_not_leak_between_documents(mode, tmp_path, capsys):
     # One loaded model decodes every document; each row must be what that document decodes to alone.
-    if block is not None:
-        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
     tax, corpus = str(ROOT / "demos/data/media.tsv"), ROOT / "demos/data/corpus.jsonl"
     model = tmp_path / "model.json"
     assert run(capsys, "fit", "--taxonomy", tax, "--input", str(corpus), "--output", str(model))[0] == 0
@@ -403,14 +400,11 @@ def _scorer_options(capsys, tmp_path, scorer) -> list[str]:
     return ["--scorer", "bigram", "--model", str(model)]
 
 
-@pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
 @pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
 @pytest.mark.parametrize("scorer", [BigramScorer, UniformScorer], ids=["bigram", "uniform"])
-def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, block, tmp_path, capsys, monkeypatch):
+def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, tmp_path, capsys, monkeypatch):
     # The one search's result is every document's row: the bytes and the summary of a run that
     # searches once per document, with the scorer's promise withdrawn, are the same.
-    if block is not None:
-        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
     options = ["--mode", mode, "--beam", "1", *_scorer_options(capsys, tmp_path, scorer)]
     texts = _count_searches(monkeypatch)
     once = _decode_media(capsys, tmp_path, "once", *options)
@@ -603,7 +597,8 @@ def _label_command(command: str, bad_set: tuple[list[str], str], tmp_path) -> tu
     write_jsonl(bad, [{"id": "d1", "text": "", "labels": labels}])
     write_jsonl(good, [{"id": "d1", "text": "", "labels": ["Entertainment"]}])
     argv = [arg.format(bad=bad, good=good, out=tmp_path / "out") for arg in LABEL_COMMANDS[command]]
-    where = {"evaluate": " in --gold", "evaluate-predictions": " in --predictions"}.get(command, "")
+    where = {"evaluate": " in --gold", "evaluate-predictions": " in --predictions", "stats": " in split 'train'"}
+    where = where.get(command, "")
     message = f"document 'd1': unknown label {label!r}{where}"
     return argv, json.dumps({"error": "UNKNOWN_LABEL", "message": message}) + "\n"
 
@@ -644,6 +639,32 @@ MIXED_ERRORS = _error_lines(
     ("UNKNOWN_LABEL", "document 'a': unknown label 'Nope'"),
     ("CORPUS_FORMAT", "document 'b' has no labels"),
 )
+# A command that reads several files names the one whose record failed, since ids are unique
+# only within a file: "{bad}" holds the failing record "b", beside a good file "{good}".
+# (An unknown label in evaluate's files is named by test_every_command_rejects_the_root_as_a_label.)
+NO_LABELS, JAZZ = ({"id": "b"}, "CORPUS_FORMAT"), ({"id": "b", "labels": ["Jazz"]}, "UNKNOWN_LABEL")
+STATS = ["stats", "--split", "train={good}", "--split", "test={bad}"]
+
+
+@pytest.mark.parametrize(
+    "argv, bad_record, error",
+    [
+        (["evaluate", "--gold", "{bad}", "--predictions", "{good}"], NO_LABELS, "document 'b' has no labels in --gold"),
+        (["evaluate", "--gold", "{good}", "--predictions", "{bad}"], NO_LABELS,
+         "document 'b' has no labels in --predictions"),
+        (STATS, NO_LABELS, "document 'b' has no labels in split 'test'"),
+        (STATS, JAZZ, "document 'b': unknown label 'Jazz' in split 'test'"),
+    ],
+    ids=["evaluate-gold", "evaluate-predictions", "stats-second-split", "stats-second-split-unknown-label"],
+)
+def test_a_bad_record_names_its_file(argv, bad_record, error, tax_file, tmp_path, capsys):
+    (record, code), good, bad = bad_record, tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+    write_jsonl(good, [{"id": "a", "labels": ["Entertainment"]}, {"id": "b", "labels": ["Business"]}])
+    write_jsonl(bad, [{"id": "a", "labels": ["Entertainment"]}, record])
+    argv = [arg.format(good=good, bad=bad) for arg in argv]
+    assert run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:]) == (1, "", _error_lines((code, error)))
+
+
 SEQUENCES = [
     {"id": "s1", "sequence": "Root Company"},
     {"id": "s2", "sequence": "Root Business POP"},

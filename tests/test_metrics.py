@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +15,13 @@ from treedecode import (
     evaluate,
     macro_f1,
     micro_f1,
+    parse_taxonomy,
+    read_documents,
 )
 
 GOLD = {"Entertainment", "Movie", "Documentary", "Business", "Company"}
 ISOLATED_PRED = {"Entertainment", "Documentary", "Company"}
+DEMO = Path(__file__).resolve().parent.parent / "demos" / "data"
 
 
 def test_isolated_nodes_standard_counts(media_tax):
@@ -136,6 +140,23 @@ def test_one_pass_counts_match_the_ancestor_definition():
     assert inconsistent > documents / 2
     assert standard.totals == LabelCounts(2999, 0, 1)
     assert constrained.totals == LabelCounts(1500, 1499, 1500)
+
+
+def test_evaluate_checks_each_document_once(monkeypatch):
+    tax = parse_taxonomy((DEMO / "media.tsv").read_text(encoding="utf-8"))
+    gold = [doc.labels for doc in read_documents(DEMO / "corpus.jsonl")]
+    pred = [labels - {min(labels)} for labels in gold]  # drops a parent from d1, d3 and d5
+    checked = []
+    require = Taxonomy._require_labels
+
+    def counted(self, names, *args):
+        checked.append(names)
+        return require(self, names, *args)
+
+    monkeypatch.setattr(Taxonomy, "_require_labels", counted)
+    report = evaluate(tax, gold, pred)
+    assert len(checked) == len(gold) == 5
+    assert report.inconsistent_docs == 3
 
 
 def test_closure_equality():

@@ -2,10 +2,10 @@
 
 A fault found on the last line still ends the command with exit code 1 and a
 ``CORPUS_FORMAT`` error, and the output file keeps its old bytes with nothing
-left beside it. A fault is reported when its line is read, so the first fault
-in the file wins; ``decode`` reads a block of records before it searches them.
-A written output has the permission bits ``open(path, "w")`` would give it,
-and ``--output -`` and ``--output /dev/stdout`` still write to stdout.
+left beside it. Every command, ``decode`` too, reports a fault when its line is
+read, so the first fault in the file wins. A written output has the permission
+bits ``open(path, "w")`` would give it, and ``--output -`` and
+``--output /dev/stdout`` still write to stdout.
 The peak memory of ``fit`` and ``stats`` does not grow with the number of
 documents beyond the set of their ids. ``stats`` checks all its ``--split``
 arguments, then reads its splits one after another, so a label error in an
@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 from conftest import MEDIA_EDGES
-from treedecode import cli, decoding
+from treedecode import decoding
 from treedecode.cli import main
 from treedecode.errors import DecodeOverflowError
 
@@ -96,7 +96,7 @@ def test_a_fault_on_the_last_line_writes_nothing(command, fault, tmp_path, capsy
     ],
     ids=["bad-json-500", "not-utf8-500", "not-utf8-3"],
 )
-@pytest.mark.parametrize("command", ["fit", "linearize"])
+@pytest.mark.parametrize("command", ["fit", "decode", "linearize"])
 def test_the_first_fault_in_file_order_is_reported_first(command, line, fault, tmp_path, capsys):
     rows = [{"id": f"d{i}", "labels": ["Business"]} for i in range(1, line)]
     rows[1]["labels"] = ["Jazz"]  # line 2
@@ -107,7 +107,7 @@ def test_the_first_fault_in_file_order_is_reported_first(command, line, fault, t
     errors = [json.loads(text) for text in capsys.readouterr().err.splitlines()]
     assert code == 1
     assert errors[0] == {"error": "UNKNOWN_LABEL", "message": "document 'd2': unknown label 'Jazz'"}
-    if command == "fit":  # fit stops at the first fault
+    if command != "linearize":  # fit and decode --scorer oracle stop at the first fault
         assert errors[1:] == []
     else:  # linearize reports every bad record, until a fault stops the reading
         assert [e["error"] for e in errors[1:]] == ["CORPUS_FORMAT"]
@@ -120,10 +120,10 @@ def test_the_first_fault_in_file_order_is_reported_first(command, line, fault, t
     [["--scorer", "oracle"], ["--scorer", "uniform", "--mode", "unconstrained", "--beam", "1"]],
     ids=["oracle-constrained", "uniform-unconstrained"],
 )
-def test_decode_in_blocks_writes_what_one_block_writes(options, tmp_path, monkeypatch, capsys):
+def test_decode_writes_every_row_that_does_not_overflow(options, tmp_path, monkeypatch, capsys):
     search = decoding.constrained_beam_search
 
-    def overflowing(tax, scorer, text, beam):  # the overflow list gathers across blocks
+    def overflowing(tax, scorer, text, beam):
         if text == "overflow":
             raise DecodeOverflowError("no <eos>")
         return search(tax, scorer, text, beam)
@@ -132,44 +132,16 @@ def test_decode_in_blocks_writes_what_one_block_writes(options, tmp_path, monkey
     rows = [*CORPUS, {"id": "d4", "labels": ["Business"]}, {"id": "d5", "labels": ["Entertainment", "Movie", "Action"]}]
     rows[1] = {**rows[1], "text": "overflow"}
     rows[4] = {**rows[4], "text": "overflow"}
-    inputs = tmp_path / "input.jsonl"
+    inputs, out = tmp_path / "input.jsonl", tmp_path / "out.jsonl"
     inputs.write_bytes(_jsonl(rows))
-    runs = []
-    for block in [cli.DECODE_BLOCK, 2]:  # one block, then three
-        monkeypatch.setattr(cli, "DECODE_BLOCK", block)
-        out = tmp_path / f"out-{block}.jsonl"
-        code = main(_argv("decode", tmp_path, inputs, out)[:-2] + options)
-        runs.append((code, out.read_bytes(), capsys.readouterr()))
-    assert runs[0] == runs[1]
-    code, written, captured = runs[1]
-    summary = json.loads(captured.err)
+    code = main(_argv("decode", tmp_path, inputs, out)[:-2] + options)
+    summary = json.loads(capsys.readouterr().err)
     if options[1] == "oracle":
         assert (code, summary["decoded"], summary["overflow"]) == (1, 3, ["d2", "d5"])
-        assert [json.loads(line)["id"] for line in written.splitlines()] == ["d1", "d3", "d4"]
+        assert [json.loads(line)["id"] for line in out.read_bytes().splitlines()] == ["d1", "d3", "d4"]
     else:
         assert (code, summary["decoded"], summary["inconsistent"]) == (0, 5, 5)
     assert summary["documents"] == 5
-
-
-@pytest.mark.parametrize(
-    "line, error",
-    [(3, "UNKNOWN_LABEL"), (2, "CORPUS_FORMAT")],
-    ids=["unreadable-in-the-next-block", "unreadable-in-the-same-block"],
-)
-def test_decode_reads_a_block_before_it_searches(line, error, tmp_path, monkeypatch, capsys):
-    # A bad gold label on line 1 is found only when its block is searched; a line that
-    # cannot be read is found when its block is read.
-    monkeypatch.setattr(cli, "DECODE_BLOCK", 2)
-    rows = [{"id": "d1", "labels": ["Jazz"]}, *CORPUS[1:]]
-    inputs = tmp_path / "input.jsonl"
-    inputs.write_bytes(_jsonl(rows[: line - 1]) + b'{"id": "x", "labels": [\n' + _jsonl(rows[line - 1 :]))
-    out = tmp_path / "out.jsonl"
-    assert main(_argv("decode", tmp_path, inputs, out)) == 1
-    errors = [json.loads(text) for text in capsys.readouterr().err.splitlines()]
-    assert [e["error"] for e in errors] == [error]
-    if error == "CORPUS_FORMAT":
-        assert "input.jsonl:2: bad JSON" in errors[0]["message"]
-    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["fit", "decode", "linearize", "evaluate"])
@@ -299,7 +271,7 @@ def test_stats_reports_an_earlier_split_before_a_later_one(tmp_path, capsys):
     earlier.write_bytes(_jsonl([*CORPUS, {"id": "d4", "labels": ["Jazz"]}]))
     later.write_bytes(b'{"id": "x", "labels": [\n')
     code = main(_stats(tmp_path, f"a={earlier}", f"b={later}"))
-    error = {"error": "UNKNOWN_LABEL", "message": "document 'd4': unknown label 'Jazz'"}
+    error = {"error": "UNKNOWN_LABEL", "message": "document 'd4': unknown label 'Jazz' in split 'a'"}
     assert (code, *capsys.readouterr()) == (1, "", json.dumps(error) + "\n")
     assert main(_stats(tmp_path, f"b={later}", f"a={earlier}")) == 1
     assert json.loads(capsys.readouterr().err)["error"] == "CORPUS_FORMAT"

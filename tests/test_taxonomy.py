@@ -334,7 +334,7 @@ def test_stats_empty_corpus(media_tax):
 
 
 def test_stats_unknown_label_names_document(media_tax):
-    with pytest.raises(UnknownLabelError, match=r"^document 'd7': unknown label 'Music'$"):
+    with pytest.raises(UnknownLabelError, match=r"^document 'd7': unknown label 'Music' in split 'train'$"):
         dataset_stats(media_tax, {"train": [_doc("d7", {"Music"})]})
 
 
