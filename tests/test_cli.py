@@ -346,8 +346,19 @@ def test_decode_bigram_reads_a_model_alphabet_in_any_order(tax_file, corpus_file
     assert outputs[0] == outputs[1]
 
 
+# A block is one decode run's input: the whole corpus in one file, or the corpus cut into files
+# of two records. The rows a decode run writes must not depend on which documents share its run.
+BLOCKS = pytest.mark.parametrize("block", [None, 2], ids=["one-block", "blocks-of-two"])
+
+
+def _blocks(lines: list, block: int | None) -> list[list]:
+    """The corpus lines as each decode run's input: all of them, or consecutive runs of ``block``."""
+    return [lines] if block is None else [lines[start:start + block] for start in range(0, len(lines), block)]
+
+
+@BLOCKS
 @pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
-def test_decode_bigram_rows_do_not_leak_between_documents(mode, tmp_path, capsys):
+def test_decode_bigram_rows_do_not_leak_between_documents(mode, block, tmp_path, capsys):
     # One loaded model decodes every document; each row must be what that document decodes to alone.
     tax, corpus = str(ROOT / "demos/data/media.tsv"), ROOT / "demos/data/corpus.jsonl"
     model = tmp_path / "model.json"
@@ -364,7 +375,7 @@ def test_decode_bigram_rows_do_not_leak_between_documents(mode, tmp_path, capsys
         return target.read_bytes()
 
     alone = b"".join(decode([line], f"alone{index}") for index, line in enumerate(documents))
-    assert decode(documents, "all") == alone
+    assert b"".join(decode(lines, f"block{index}") for index, lines in enumerate(_blocks(documents, block))) == alone
 
 
 MEDIA_TAXONOMY, MEDIA_CORPUS = str(ROOT / "demos/data/media.tsv"), str(ROOT / "demos/data/corpus.jsonl")
@@ -400,22 +411,27 @@ def _scorer_options(capsys, tmp_path, scorer) -> list[str]:
     return ["--scorer", "bigram", "--model", str(model)]
 
 
+@BLOCKS
 @pytest.mark.parametrize("mode", ["constrained", "unconstrained"])
 @pytest.mark.parametrize("scorer", [BigramScorer, UniformScorer], ids=["bigram", "uniform"])
-def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, tmp_path, capsys, monkeypatch):
+def test_a_text_blind_scorer_searches_once_per_decode_run(scorer, mode, block, tmp_path, capsys, monkeypatch):
     # The one search's result is every document's row: the bytes and the summary of a run that
     # searches once per document, with the scorer's promise withdrawn, are the same.
     options = ["--mode", mode, "--beam", "1", *_scorer_options(capsys, tmp_path, scorer)]
+    corpora = []
+    for index, lines in enumerate(_blocks(Path(MEDIA_CORPUS).read_text(encoding="utf-8").splitlines(True), block)):
+        corpora.append(tmp_path / f"block{index}.jsonl")
+        corpora[-1].write_text("".join(lines), encoding="utf-8")
     texts = _count_searches(monkeypatch)
-    once = _decode_media(capsys, tmp_path, "once", *options)
-    assert len(texts) == 1
+    once = [_decode_media(capsys, tmp_path, f"once{index}", *options, corpus=c) for index, c in enumerate(corpora)]
+    assert len(texts) == len(corpora)
     monkeypatch.setattr(scorer, "reads_text", True)
     texts.clear()
-    each = _decode_media(capsys, tmp_path, "each", *options)
+    each = [_decode_media(capsys, tmp_path, f"each{index}", *options, corpus=c) for index, c in enumerate(corpora)]
     assert len(set(texts)) == len(texts) == len(MEDIA_IDS)
     assert once == each
-    assert once[0] == 0 and once[2]["decoded"] == len(MEDIA_IDS)
-    assert [row["id"] for row in read_jsonl(tmp_path / "once.pred.jsonl")] == MEDIA_IDS
+    assert all(code == 0 for code, _, _ in once) and sum(summary["decoded"] for _, _, summary in once) == len(MEDIA_IDS)
+    assert [json.loads(line)["id"] for _, rows, _ in once for line in rows.splitlines()] == MEDIA_IDS
 
 
 ESCAPED_IDS = ['say "hi"', "back\\slash", "caf\u00e9 \u2615", "line\u2028break", "bell\x07"]
