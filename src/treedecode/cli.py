@@ -138,7 +138,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except InconsistentLabelSetError as err:
         _report(err.code, _UNCLOSED + "rerun with --closure", doc.id)
         return 1
-    scorer.save(args.output)
+    scorer.save(sys.stdout if args.output == "-" else args.output)
     if scorer.repaired_docs:
         print(f"ancestor closure repaired {scorer.repaired_docs} document(s)", file=sys.stderr)
     return 0
@@ -246,11 +246,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         doc_id, gold = next((i, g) for i, g, p in zip(gold_ids, gold_sets, pred_sets) if err.label in g | p)
         raise UnknownLabelError(err.label, doc_id, "--gold" if err.label in gold else "--predictions") from None
     print(report.format_table())
-    text = json.dumps(report.to_dict(), indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    with buffered_output(sys.stdout if args.output == "-" else args.output) as out:
+        out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return 0
 
 
@@ -300,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = add("fit", cmd_fit, "fit the bigram scorer on a gold corpus")
     sub.add_argument("--input", required=True, help="corpus JSONL with id/text/labels")
-    sub.add_argument("--output", required=True, help="model JSON file to write")
+    sub.add_argument("--output", required=True, help="model JSON file to write (- for stdout)")
     sub.add_argument("--closure", action="store_true", help="repair inconsistent label sets first")
 
     sub = add("decode", cmd_decode, "decode documents into label sequences")
@@ -322,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = add("evaluate", cmd_evaluate, "score predictions against gold labels")
     sub.add_argument("--gold", required=True, help="gold corpus JSONL with id/labels")
     sub.add_argument("--predictions", required=True, help="predictions JSONL with id/labels")
-    sub.add_argument("--output", help="write the JSON report here instead of stdout")
+    sub.add_argument("--output", default="-", help="JSON report file (default stdout, after the table)")
 
     sub = add("stats", cmd_stats, "dataset statistics per split")
     sub.add_argument("--split", action="append", metavar="NAME=PATH", help="repeatable")

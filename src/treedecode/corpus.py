@@ -7,8 +7,14 @@ when present, a JSON list of strings. Prediction files use the same record
 shape, with labels required and text ignored.
 
 Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
-``read_jsonl`` and ``read_documents`` are lists of them). Streamed output
-goes through ``buffered_output``, which writes only once its writer succeeds.
+``read_jsonl`` and ``read_documents`` are lists of them). Each non-blank line
+is parsed by one call of the JSON decoder's scanner, which takes a value
+starting at the line's first character. Only when the scanner raises or stops
+before the line's end (leading or trailing whitespace, a BOM, extra data, a bad
+value) is the line parsed again by ``json.loads``, whose object or error text is
+then the result, so every line reads exactly as ``json.loads`` reads it.
+Streamed output goes through ``buffered_output``, which writes only once its
+writer succeeds.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import json
 import os
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from itertools import repeat
 from pathlib import Path
 from typing import NamedTuple, TextIO
 
@@ -28,6 +35,12 @@ class DocumentRecord(NamedTuple):
     id: str
     text: str = ""
     labels: frozenset[str] | None = None
+
+
+# The value scanner behind ``json.loads``, with its defaults; it raises StopIteration
+# when no value starts at the index.
+_scan_once = json.JSONDecoder().scan_once
+_new_record = tuple.__new__  # DocumentRecord without its keyword constructor
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict]:
@@ -50,7 +63,12 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                try:
+                    row, end = _scan_once(line, 0)
+                except (StopIteration, ValueError, RecursionError):
+                    end = None
+                if end != len(line):  # json.loads words the fault, or skips the whitespace
+                    row = json.loads(line)
             except (ValueError, RecursionError) as err:  # bad JSON, too long an integer, too deep
                 raise CorpusFormatError(f"{path}:{lineno}: bad JSON ({err})") from None
             if not isinstance(row, dict):
@@ -122,12 +140,12 @@ def iter_documents(path: str | Path) -> Iterator[DocumentRecord]:
             )
         labels = row.get("labels")
         if labels is not None and not (
-            isinstance(labels, list) and all(isinstance(label, str) for label in labels)
+            isinstance(labels, list) and all(map(isinstance, labels, repeat(str)))
         ):
             raise CorpusFormatError(
                 f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
             )
-        yield DocumentRecord(id=doc_id, text=text, labels=None if labels is None else frozenset(labels))
+        yield _new_record(DocumentRecord, (doc_id, text, None if labels is None else frozenset(labels)))
 
 
 def read_documents(path: str | Path) -> list[DocumentRecord]:

@@ -16,7 +16,9 @@ from collections import Counter
 from collections.abc import Iterable, Sequence
 from itertools import pairwise
 from pathlib import Path
+from typing import TextIO
 
+from .corpus import buffered_output
 from .errors import EmptyCorpusError, ModelFormatError
 from .linearizer import _walk
 from .taxonomy import Taxonomy
@@ -169,10 +171,10 @@ class BigramScorer:
         counts = {prev: dict(nxt) for prev, nxt in self.counts.items()}
         return {"alphabet": list(self.alphabet), "counts": counts}
 
-    def save(self, path: str | Path) -> None:
-        Path(path).write_text(
-            json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+    def save(self, target: str | Path | TextIO) -> None:
+        """Write the model as JSON to a path, or to an open text stream such as ``sys.stdout``."""
+        with buffered_output(target) as out:
+            out.write(json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "BigramScorer":

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from treedecode import CorpusFormatError, DocumentRecord, read_documents, read_jsonl, write_jsonl
@@ -18,6 +20,23 @@ def test_round_trip(tmp_path):
     assert docs[0] == DocumentRecord(id="d1", text="alpha", labels=frozenset({"A", "B"}))
     assert docs[1].labels == frozenset()
     assert docs[2].labels is None
+
+
+def test_records_are_exact_document_records(tmp_path):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(
+        '{"id": "a", "text": "t", "labels": ["A", "B"]}\n{"id": "b"}\n'
+        '{"id": "c", "labels": []}\n{"id": "d", "text": "u"}\n'
+    )
+    expected = [
+        DocumentRecord(id="a", text="t", labels=frozenset({"A", "B"})),
+        DocumentRecord(id="b"),
+        DocumentRecord(id="c", labels=frozenset()),
+        DocumentRecord(id="d", text="u"),
+    ]
+    docs = read_documents(path)
+    assert [type(doc) for doc in docs] == [DocumentRecord] * 4
+    assert [doc._asdict() for doc in docs] == [doc._asdict() for doc in expected]
 
 
 def test_blank_lines_skipped(tmp_path):
@@ -93,3 +112,48 @@ def test_a_carriage_return_between_tokens_ends_the_line(tmp_path):
     path.write_bytes(b'{"id": "a"}\r\n\r\n{"id": "b",\r"text": "x"}\n')
     with pytest.raises(CorpusFormatError, match=r"corpus\.jsonl:3: bad JSON \(Expecting property name"):
         read_jsonl(path)
+
+
+# A line is parsed by the JSON scanner, and again by json.loads wherever the scanner does
+# not take the whole line: either way it reads as json.loads reads it.
+SCANNED_LINES = {
+    "leading-spaces": '  {"id": "a"}',
+    "leading-tab": '\t{"id": "a"}',
+    "trailing-spaces-and-tabs": '{"id": "a"} \t ',
+    "surrounding-whitespace": ' \t{"id": "a", "labels": ["A"]}\t ',
+    "bom": '\ufeff{"id": "a"}',
+    "extra-data": '{"id": "a"} x',
+    "nan-and-infinity": '{"id": "a", "x": NaN, "y": Infinity, "z": -Infinity}',
+    "repeated-key": '{"id": "a", "id": "b", "id": "c"}',
+    "bare-number": "3",
+    "long-integer": '{"id": "a", "n": ' + "7" * 5000 + "}",
+    "deep-nesting": "[" * 100_000,
+}
+
+
+@pytest.mark.parametrize("line", SCANNED_LINES.values(), ids=SCANNED_LINES)
+def test_a_line_reads_as_json_loads_reads_it(tmp_path, line):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "first"}\n' + line + "\n", encoding="utf-8")
+    try:
+        expected = json.loads(line)
+    except (ValueError, RecursionError) as err:
+        with pytest.raises(CorpusFormatError) as caught:
+            read_jsonl(path)
+        assert str(caught.value) == f"{path}:2: bad JSON ({err})"
+        return
+    if isinstance(expected, dict):
+        assert repr(read_jsonl(path)) == repr([{"id": "first"}, expected])  # NaN != NaN
+    else:
+        with pytest.raises(CorpusFormatError, match=r"corpus\.jsonl:2: expected a JSON object$"):
+            read_jsonl(path)
+
+
+def test_json_loads_runs_only_where_the_scanner_stops_short(tmp_path, monkeypatch):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text('{"id": "a", "labels": []}\n  {"id": "b"}\n\n{"id": "c"} \n{"id": "d"}\n')
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda line: calls.append(line) or loads(line))
+    assert [row["id"] for row in read_jsonl(path)] == ["a", "b", "c", "d"]
+    assert calls == ['  {"id": "b"}', '{"id": "c"} ']

@@ -173,7 +173,7 @@ def test_a_replaced_output_gets_the_mode_open_would_give(command, tmp_path, caps
 @pytest.mark.parametrize(
     "command, target",
     [("decode", "-"), ("decode", "/dev/stdout"), ("linearize", "-"), ("linearize", "/dev/stdout"),
-     ("fit", "/dev/stdout")],
+     ("fit", "-"), ("fit", "/dev/stdout"), ("evaluate", "-"), ("evaluate", "/dev/stdout")],
 )
 def test_stdout_outputs_still_work(command, target, tmp_path):
     corpus = tmp_path / "corpus.jsonl"
@@ -185,12 +185,15 @@ def test_stdout_outputs_still_work(command, target, tmp_path):
         argv = _argv(command, tmp_path, corpus, written)
         argv[argv.index("--output") + 1] = out
         done = subprocess.run(
-            [sys.executable, "-m", "treedecode.cli", *argv], env=env, capture_output=True, timeout=60
+            [sys.executable, "-m", "treedecode.cli", *argv],
+            env=env, cwd=tmp_path, capture_output=True, timeout=60,
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout)
-    assert outputs[0] == b""
-    assert outputs[1] == written.read_bytes() != b""
+    table = outputs[0]  # evaluate prints its table to stdout whatever --output names
+    assert (table != b"") == (command == "evaluate")
+    assert outputs[1] == table + written.read_bytes() != table
+    assert not (tmp_path / "-").exists()
 
 
 def _balanced_tree(branching: int, depth: int) -> tuple[str, list[str], dict[str, str]]:
