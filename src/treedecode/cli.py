@@ -245,7 +245,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except UnknownLabelError as err:  # sets are checked in order: the first holding the label failed
         doc_id, gold = next((i, g) for i, g, p in zip(gold_ids, gold_sets, pred_sets) if err.label in g | p)
         raise UnknownLabelError(err.label, doc_id, "--gold" if err.label in gold else "--predictions") from None
-    print(report.format_table())
+    print(report.format_table(), flush=True)  # before a --output that reopens stdout, as /dev/stdout does
     with buffered_output(sys.stdout if args.output == "-" else args.output) as out:
         out.write(json.dumps(report.to_dict(), indent=2) + "\n")
     return 0

@@ -40,7 +40,6 @@ class DocumentRecord(NamedTuple):
 # The value scanner behind ``json.loads``, with its defaults; it raises StopIteration
 # when no value starts at the index.
 _scan_once = json.JSONDecoder().scan_once
-_new_record = tuple.__new__  # DocumentRecord without its keyword constructor
 
 
 def iter_jsonl(path: str | Path) -> Iterator[dict]:
@@ -145,7 +144,7 @@ def iter_documents(path: str | Path) -> Iterator[DocumentRecord]:
             raise CorpusFormatError(
                 f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
             )
-        yield _new_record(DocumentRecord, (doc_id, text, None if labels is None else frozenset(labels)))
+        yield DocumentRecord._make((doc_id, text, None if labels is None else frozenset(labels)))
 
 
 def read_documents(path: str | Path) -> list[DocumentRecord]:
