@@ -9,132 +9,62 @@ consistent; :mod:`treedecode.scorers` provides pluggable scoring models
 at desk scale; :mod:`treedecode.metrics` computes Micro/Macro F1 and
 their path-constrained variants; :mod:`treedecode.cli` is the
 ``treedecode`` command.
+
+``import treedecode`` imports none of these modules (PEP 562). A public
+name binds on first use: the first ``treedecode.<name>`` or ``from
+treedecode import <name>`` imports the module that defines it and stores
+that object in this package, so later uses read it directly and keep it
+even if the module's own binding changes afterwards. ``dir(treedecode)``
+lists every public name, and ``from treedecode import *`` loads them all.
 """
 
-from .corpus import DocumentRecord, read_documents, read_jsonl, write_jsonl
-from .decoding import (
-    DecodedSequence,
-    DecoderState,
-    Scorer,
-    constrained_beam_search,
-    dynamic_vocabulary,
-    full_alphabet,
-    greedy_decode,
-    initial_state,
-    max_decode_length,
-    restricted_log_softmax,
-    restricted_softmax,
-    sequence_nll,
-    state_from_prefix,
-    step,
-    unconstrained_decode,
-)
-from .errors import (
-    AlignmentError,
-    CorpusFormatError,
-    DecodeOverflowError,
-    EmptyCorpusError,
-    IllegalStateError,
-    IllegalTokenError,
-    InconsistentLabelSetError,
-    InvalidScoreError,
-    InvalidSequenceError,
-    InvalidTaxonomyError,
-    ModelFormatError,
-    ModelMismatchError,
-    TreeDecodeError,
-    UnknownLabelError,
-)
-from .linearizer import SequenceReport, delinearize, linearize, validate_sequence
-from .metrics import (
-    ConfusionCounts,
-    LabelCounts,
-    MetricsReport,
-    confusion_counts,
-    evaluate,
-    macro_f1,
-    micro_f1,
-)
-from .scorers import (
-    BigramScorer,
-    OracleScorer,
-    RandomScorer,
-    UniformScorer,
-    fit_bigram_scorer,
-)
-from .taxonomy import (
-    DatasetStats,
-    Issue,
-    Taxonomy,
-    ValidationReport,
-    dataset_stats,
-    parse_taxonomy,
-    validate_taxonomy,
-)
-from .tokens import BOS, EOS, POP, parse_sequence, render_sequence
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlignmentError",
-    "BOS",
-    "BigramScorer",
-    "ConfusionCounts",
-    "CorpusFormatError",
-    "DatasetStats",
-    "DecodeOverflowError",
-    "DecodedSequence",
-    "DecoderState",
-    "DocumentRecord",
-    "EOS",
-    "EmptyCorpusError",
-    "IllegalStateError",
-    "IllegalTokenError",
-    "InconsistentLabelSetError",
-    "InvalidScoreError",
-    "InvalidSequenceError",
-    "InvalidTaxonomyError",
-    "Issue",
-    "LabelCounts",
-    "MetricsReport",
-    "ModelFormatError",
-    "ModelMismatchError",
-    "OracleScorer",
-    "POP",
-    "RandomScorer",
-    "Scorer",
-    "SequenceReport",
-    "Taxonomy",
-    "TreeDecodeError",
-    "UniformScorer",
-    "UnknownLabelError",
-    "ValidationReport",
-    "confusion_counts",
-    "constrained_beam_search",
-    "dataset_stats",
-    "delinearize",
-    "dynamic_vocabulary",
-    "evaluate",
-    "fit_bigram_scorer",
-    "full_alphabet",
-    "greedy_decode",
-    "initial_state",
-    "linearize",
-    "macro_f1",
-    "max_decode_length",
-    "micro_f1",
-    "parse_sequence",
-    "parse_taxonomy",
-    "read_documents",
-    "read_jsonl",
-    "render_sequence",
-    "restricted_log_softmax",
-    "restricted_softmax",
-    "sequence_nll",
-    "state_from_prefix",
-    "step",
-    "unconstrained_decode",
-    "validate_sequence",
-    "validate_taxonomy",
-    "write_jsonl",
-]
+# The module that defines each public name.
+_EXPORTS = {
+    "corpus": ("DocumentRecord", "read_documents", "read_jsonl", "write_jsonl"),
+    "decoding": (
+        "DecodedSequence", "DecoderState", "Scorer", "constrained_beam_search",
+        "dynamic_vocabulary", "full_alphabet", "greedy_decode", "initial_state",
+        "max_decode_length", "restricted_log_softmax", "restricted_softmax", "sequence_nll",
+        "state_from_prefix", "step", "unconstrained_decode",
+    ),
+    "errors": (
+        "AlignmentError", "CorpusFormatError", "DecodeOverflowError", "EmptyCorpusError",
+        "IllegalStateError", "IllegalTokenError", "InconsistentLabelSetError",
+        "InvalidScoreError", "InvalidSequenceError", "InvalidTaxonomyError", "ModelFormatError",
+        "ModelMismatchError", "TreeDecodeError", "UnknownLabelError",
+    ),
+    "linearizer": ("SequenceReport", "delinearize", "linearize", "validate_sequence"),
+    "metrics": (
+        "ConfusionCounts", "LabelCounts", "MetricsReport", "confusion_counts", "evaluate",
+        "macro_f1", "micro_f1",
+    ),
+    "scorers": (
+        "BigramScorer", "OracleScorer", "RandomScorer", "UniformScorer", "fit_bigram_scorer",
+    ),
+    "taxonomy": (
+        "DatasetStats", "Issue", "Taxonomy", "ValidationReport", "dataset_stats",
+        "parse_taxonomy", "validate_taxonomy",
+    ),
+    "tokens": ("BOS", "EOS", "POP", "parse_sequence", "render_sequence"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    # Python calls this only for a name missing from the package's globals.
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = globals()[name] = getattr(importlib.import_module(f".{module}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _MODULE_OF.keys())

@@ -9,8 +9,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from treedecode import fit_bigram_scorer, parse_taxonomy
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "treedecode").glob("*.py"))
+TAXONOMY = SRC.parent / "demos" / "data" / "media.tsv"
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -41,6 +44,7 @@ def test_the_check_sees_a_third_party_import(tmp_path):
 # Run by a fresh interpreter with no site hooks (-I -S), so its first modules are a bare
 # baseline; prints the modules each step has added to it so far. -I ignores
 # PYTHONDONTWRITEBYTECODE, so -B keeps it from leaving src/treedecode/__pycache__ behind.
+# The set-up step is what every decode starts with: parse the taxonomy, load the model.
 COLD_START = """
 import sys
 baseline = set(sys.modules)
@@ -48,6 +52,10 @@ sys.path.insert(0, sys.argv[1])
 added = {}
 import treedecode
 added["import treedecode"] = sorted(set(sys.modules) - baseline)
+with open(sys.argv[2], encoding="utf-8") as taxonomy:
+    treedecode.parse_taxonomy(taxonomy.read())
+treedecode.BigramScorer.load(sys.argv[3])
+added["set-up"] = sorted(set(sys.modules) - baseline)
 import treedecode.cli
 added["import treedecode.cli"] = sorted(set(sys.modules) - baseline)
 treedecode.RandomScorer()
@@ -57,14 +65,30 @@ print(json.dumps(added))
 """
 
 
-def test_import_loads_neither_dataclasses_nor_hashlib():
-    # dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads OpenSSL: together
-    # about half of a cold import. Only RandomScorer hashes, so only building one loads hashlib.
+def _cold_start(tmp_path: Path) -> dict[str, list[str]]:
+    tax = parse_taxonomy(TAXONOMY.read_text(encoding="utf-8"))
+    model = tmp_path / "model.json"
+    fit_bigram_scorer(tax, [("a", {"Entertainment", "Movie"}), ("b", {"Business"})]).save(model)
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-B", "-c", COLD_START, str(SRC)],
+        [sys.executable, "-I", "-S", "-B", "-c", COLD_START, str(SRC), str(TAXONOMY), str(model)],
         capture_output=True, text=True, timeout=60, check=True,
     )
-    added = json.loads(done.stdout)
+    return json.loads(done.stdout)
+
+
+def test_import_loads_neither_dataclasses_nor_hashlib(tmp_path):
+    # dataclasses pulls in inspect, ast, dis and tokenize, and hashlib loads OpenSSL: together
+    # about half of a cold import. Only RandomScorer hashes, so only building one loads hashlib.
+    added = _cold_start(tmp_path)
     for step in ["import treedecode", "import treedecode.cli"]:
         assert {"dataclasses", "hashlib"}.intersection(added[step]) == set(), step
     assert "hashlib" in added["RandomScorer()"]
+
+
+def test_import_loads_no_submodule_and_set_up_no_decoder(tmp_path):
+    # Each module loads on the first use of one of its names, so a set-up compiles neither
+    # the beam search nor the metrics nor the command line.
+    added = _cold_start(tmp_path)
+    assert [name for name in added["import treedecode"] if name.startswith("treedecode.")] == []
+    unused = {"treedecode.decoding", "treedecode.metrics", "treedecode.cli"}
+    assert unused.intersection(added["set-up"]) == set()
