@@ -14,8 +14,10 @@ their path-constrained variants; :mod:`treedecode.cli` is the
 name binds on first use: the first ``treedecode.<name>`` or ``from
 treedecode import <name>`` imports the module that defines it and stores
 that object in this package, so later uses read it directly and keep it
-even if the module's own binding changes afterwards. ``dir(treedecode)``
-lists every public name, and ``from treedecode import *`` loads them all.
+even if the module's own binding changes afterwards. A module that
+defines public names resolves the same way, so ``treedecode.metrics``
+works right after ``import treedecode``. ``dir(treedecode)`` lists every
+public name, and ``from treedecode import *`` loads them all.
 """
 
 import importlib
@@ -58,6 +60,8 @@ __all__ = sorted(_MODULE_OF)
 
 def __getattr__(name: str):
     # Python calls this only for a name missing from the package's globals.
+    if name in _EXPORTS:  # importing a submodule binds it in this package
+        return importlib.import_module(f".{name}", __name__)
     try:
         module = _MODULE_OF[name]
     except KeyError:
@@ -67,4 +71,4 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted(globals().keys() | _MODULE_OF.keys())
+    return sorted(globals().keys() | _EXPORTS.keys() | _MODULE_OF.keys())

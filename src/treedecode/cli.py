@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 domain error (invalid taxonomy, inconsistent
 labels, alignment problems, ...), 2 I/O or usage error. ``main(argv)`` may
-be called repeatedly in one process; it builds its parser once.
+be called repeatedly in one process; it builds its parser once. A command
+imports the decoder, the scorers, the metrics and the linearizer only if it
+runs them, so a fresh ``treedecode validate`` compiles none of the four.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from . import decoding, metrics, taxonomy
+from . import taxonomy
 from .corpus import buffered_output, iter_documents, records_with_ids, required_labels
 from .errors import (
     AlignmentError,
@@ -26,8 +28,6 @@ from .errors import (
     TreeDecodeError,
     UnknownLabelError,
 )
-from .linearizer import delinearize, linearize
-from .scorers import BigramScorer, OracleScorer, UniformScorer, fit_bigram_scorer
 from .taxonomy import Taxonomy, dataset_stats, parse_taxonomy, validate_taxonomy
 from .tokens import POP, parse_sequence, render_sequence
 
@@ -85,6 +85,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_linearize(args: argparse.Namespace) -> int:
+    from . import linearizer
+
     tax = _load_taxonomy(args.taxonomy)
     repaired = 0
 
@@ -94,7 +96,7 @@ def cmd_linearize(args: argparse.Namespace) -> int:
         closed = tax.ancestor_closure(labels) if args.closure else labels
         repaired += len(closed) > len(labels)
         try:
-            return {"sequence": render_sequence(linearize(tax, closed))}
+            return {"sequence": render_sequence(linearizer.linearize(tax, closed))}
         except InconsistentLabelSetError:
             raise InconsistentLabelSetError(_UNCLOSED + "rerun with --closure") from None
 
@@ -105,6 +107,8 @@ def cmd_linearize(args: argparse.Namespace) -> int:
 
 
 def cmd_delinearize(args: argparse.Namespace) -> int:
+    from . import linearizer
+
     tax = _load_taxonomy(args.taxonomy)
 
     def row(numbered):  # (record number, record)
@@ -116,7 +120,7 @@ def cmd_delinearize(args: argparse.Namespace) -> int:
             raise CorpusFormatError(
                 f"{args.input}: record {index} needs a sequence string or list of strings, got {tokens!r}"
             )
-        return {"labels": sorted(delinearize(tax, tokens))}
+        return {"labels": sorted(linearizer.delinearize(tax, tokens))}
 
     records = ((doc_id, (index, record)) for index, doc_id, record in records_with_ids(args.input))
     _write_each(args.output, records, row)
@@ -124,6 +128,8 @@ def cmd_delinearize(args: argparse.Namespace) -> int:
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
+    from . import scorers
+
     tax = _load_taxonomy(args.taxonomy)
     doc = None
     def gold():  # the fit counts one document at a time, so a label error is ``doc``'s
@@ -131,7 +137,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
         for doc in iter_documents(args.input):
             yield doc.text, required_labels(doc)
     try:
-        scorer = fit_bigram_scorer(tax, gold(), closure=args.closure)
+        scorer = scorers.fit_bigram_scorer(tax, gold(), closure=args.closure)
     except UnknownLabelError as err:
         _report(err.code, err, doc.id)
         return 1
@@ -146,14 +152,16 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
     """The scorer every document shares, or None for the oracle, which is built per document."""
+    from . import decoding, scorers
+
     if args.model is not None and args.scorer != "bigram":
         raise TreeDecodeError(f"--model is only read by --scorer bigram, not --scorer {args.scorer}")
     if args.scorer == "uniform":
-        return UniformScorer()
+        return scorers.UniformScorer()
     if args.scorer == "bigram":
         if args.model is None:
             raise TreeDecodeError("--scorer bigram requires --model")
-        loaded = BigramScorer.load(args.model)
+        loaded = scorers.BigramScorer.load(args.model)
         # Scores read the counts and the alphabet's size only, so its order carries no meaning.
         model, taxonomy = set(loaded.alphabet), set(decoding.full_alphabet(tax))
         if model != taxonomy:
@@ -173,6 +181,8 @@ def _shared_scorer(args: argparse.Namespace, tax: Taxonomy):
 
 
 def cmd_decode(args: argparse.Namespace) -> int:
+    from . import decoding, linearizer, scorers
+
     tax = _load_taxonomy(args.taxonomy)
     shared = _shared_scorer(args, tax)
     documents = inconsistent = 0
@@ -184,7 +194,9 @@ def cmd_decode(args: argparse.Namespace) -> int:
         for documents, doc in enumerate(iter_documents(args.input), start=1):
             if not blind or documents == 1:
                 try:
-                    scorer = OracleScorer(linearize(tax, set(required_labels(doc)))) if shared is None else shared
+                    scorer = shared
+                    if shared is None:
+                        scorer = scorers.OracleScorer(linearizer.linearize(tax, set(required_labels(doc))))
                     if args.mode == "constrained":
                         result = decoding.constrained_beam_search(tax, scorer, doc.text, args.beam)[0]
                     else:
@@ -227,6 +239,8 @@ def cmd_postprocess(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from . import metrics
+
     tax = _load_taxonomy(args.taxonomy)
     # Records are read one at a time; gold keeps no text, and predictions are kept for alignment.
     gold_docs = [doc._replace(text="") for doc in iter_documents(args.gold)]

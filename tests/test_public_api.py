@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import importlib
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,6 +13,7 @@ import pytest
 import treedecode
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
+SRC = PYPROJECT.parent / "src"
 
 # Every public name, in the order of treedecode.__all__, with the module that defines it.
 EXPORTS = {
@@ -108,6 +111,20 @@ def test_submodules_still_import_by_name():
     namespace: dict = {}
     exec("from treedecode import cli", namespace)
     assert namespace["cli"] is importlib.import_module("treedecode.cli")
+
+
+def test_each_defining_module_resolves_right_after_a_bare_import():
+    # A fresh interpreter (-I -S -B), so no earlier import in this process has bound a submodule.
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import treedecode\n"
+        "for name in sorted(set(sys.argv[2:])):\n"
+        "    assert getattr(treedecode, name) is sys.modules['treedecode.' + name], name\n"
+        "    assert name in dir(treedecode), name\n"
+    )
+    subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", script, str(SRC), *EXPORTS.values()],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
 
 
 def test_version_matches_the_project_metadata():

@@ -9,11 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from treedecode import fit_bigram_scorer, parse_taxonomy
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 SOURCES = sorted((SRC / "treedecode").glob("*.py"))
 TAXONOMY = SRC.parent / "demos" / "data" / "media.tsv"
+CORPUS = TAXONOMY.with_name("corpus.jsonl")
 
 
 def _absolute_imports(path: Path) -> set[str]:
@@ -65,10 +68,15 @@ print(json.dumps(added))
 """
 
 
-def _cold_start(tmp_path: Path) -> dict[str, list[str]]:
+def _write_model(tmp_path: Path) -> Path:
     tax = parse_taxonomy(TAXONOMY.read_text(encoding="utf-8"))
     model = tmp_path / "model.json"
     fit_bigram_scorer(tax, [("a", {"Entertainment", "Movie"}), ("b", {"Business"})]).save(model)
+    return model
+
+
+def _cold_start(tmp_path: Path) -> dict[str, list[str]]:
+    model = _write_model(tmp_path)
     done = subprocess.run(
         [sys.executable, "-I", "-S", "-B", "-c", COLD_START, str(SRC), str(TAXONOMY), str(model)],
         capture_output=True, text=True, timeout=60, check=True,
@@ -92,3 +100,51 @@ def test_import_loads_no_submodule_and_set_up_no_decoder(tmp_path):
     assert [name for name in added["import treedecode"] if name.startswith("treedecode.")] == []
     unused = {"treedecode.decoding", "treedecode.metrics", "treedecode.cli"}
     assert unused.intersection(added["set-up"]) == set()
+
+
+# Run by a fresh interpreter: one command, then its exit code and the treedecode modules loaded.
+COMMAND = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from treedecode import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+print(json.dumps([code, sorted(name for name in sys.modules if name.startswith("treedecode."))]))
+"""
+
+# Beyond cli, corpus, errors, taxonomy and tokens, which every command loads.
+COMMAND_LOADS = {
+    "validate": [],
+    "stats": [],
+    "postprocess": [],
+    "linearize": ["linearizer"],
+    "delinearize": ["linearizer"],
+    "fit": ["linearizer", "scorers"],
+    "decode": ["decoding", "linearizer", "scorers"],
+    "evaluate": ["metrics"],
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_LOADS)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, command):
+    model, out = _write_model(tmp_path), str(tmp_path / "out.jsonl")
+    sequences = tmp_path / "sequences.jsonl"
+    sequences.write_text('{"id": "d2", "sequence": "Root Entertainment POP"}\n', encoding="utf-8")
+    argv = {
+        "validate": [],
+        "stats": ["--split", f"train={CORPUS}"],
+        "postprocess": ["--input", str(CORPUS), "--output", out],
+        "linearize": ["--input", str(CORPUS), "--output", out, "--closure"],
+        "delinearize": ["--input", str(sequences), "--output", out],
+        "fit": ["--input", str(CORPUS), "--output", out],
+        "decode": ["--input", str(CORPUS), "--output", out, "--scorer", "bigram", "--model", str(model)],
+        "evaluate": ["--gold", str(CORPUS), "--predictions", str(CORPUS), "--output", out],
+    }[command]
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-B", "-c", COMMAND, str(SRC), command, "--taxonomy", str(TAXONOMY), *argv],
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    code, loaded = json.loads(done.stdout)
+    assert code == 0
+    every = ["cli", "corpus", "errors", "taxonomy", "tokens"]
+    assert loaded == sorted(f"treedecode.{name}" for name in every + COMMAND_LOADS[command])
