@@ -7,9 +7,11 @@ when present, a JSON list of strings. Prediction files use the same record
 shape, with labels required and text ignored.
 
 Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
-``read_jsonl`` and ``read_documents`` are lists of them). Each non-blank line
-is parsed by one call of the JSON decoder's scanner, which takes a value
-starting at the line's first character. Only when the scanner raises or stops
+``read_jsonl`` and ``read_documents`` are lists of them). A line that is empty
+or holds only spaces and tabs, the whitespace JSON allows, is blank and skipped.
+Any other line, even one of other whitespace such as a form feed, is parsed by
+one call of the JSON decoder's scanner, which takes a value starting at the
+line's first character. Only when the scanner raises or stops
 before the line's end (leading or trailing whitespace, a BOM, extra data, a bad
 value) is the line parsed again by ``json.loads``, whose object or error text is
 then the result, so every line reads exactly as ``json.loads`` reads it.
@@ -45,9 +47,10 @@ _scan_once = json.JSONDecoder().scan_once
 def iter_jsonl(path: str | Path) -> Iterator[dict]:
     """Yield the JSON object of each non-blank line of a UTF-8 file, reading one line at a time.
 
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r`` (universal newlines), never at another line
-    separator. A line that is not UTF-8 or not a JSON object raises CorpusFormatError when it
-    is reached, so the first fault in the file is the one reported.
+    A blank line is empty or holds only spaces and tabs. Lines end at ``\\n``, ``\\r\\n`` or
+    ``\\r`` (universal newlines), never at another line separator. A line that is not UTF-8
+    or not a JSON object raises CorpusFormatError when it is reached, so the first fault in
+    the file is the one reported.
     """
     # Bytes that are not UTF-8 become lone surrogates, which valid UTF-8 never decodes to,
     # so each line is checked by itself instead of failing a whole buffer at once.
@@ -59,7 +62,7 @@ def iter_jsonl(path: str | Path) -> Iterator[dict]:
                 except UnicodeDecodeError as err:
                     raise CorpusFormatError(f"{path}:{lineno}: not UTF-8 ({err})") from None
             line = line.rstrip("\n")  # JSON error positions count within the line
-            if not line.strip():
+            if not line.strip(" \t"):  # JSON whitespace; a universal-newline line holds no \r
                 continue
             try:
                 try:

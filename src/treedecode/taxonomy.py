@@ -6,8 +6,11 @@ contain whitespace, which separates tokens in a rendered sequence. The
 root is the unique node that never appears as a child. Child order is the
 order of first appearance in the file and fixes linearization order; the
 decoder breaks ties by a rank table (labels by name, then ``<eos>``, then POP)
-built once with the taxonomy by ``token_sort_key``, as are its alphabet and
-per-node start vocabularies (children, then POP or ``<eos>``), in rank order.
+built once with the taxonomy by one sort with ``token_sort_key``. One walk of
+that order fills its alphabet and per-node start vocabularies (children, then
+POP or ``<eos>``). A valid file is read, checked and laid out in linear passes:
+the name rules run name by name only once a look at all names finds a suspect,
+and only the children with several parents are sorted, to report them.
 """
 
 from __future__ import annotations
@@ -67,13 +70,20 @@ class Taxonomy:
         # The decoder's tie-break order as data, from one sort by ``token_sort_key``: each token's
         # rank, the non-root alphabet, and every node's start vocabulary (the automaton frame it
         # opens when pushed: its children, then POP or ``<eos>`` for the root), all in rank order.
-        order = sorted((*nodes, EOS, POP), key=token_sort_key)
-        self._rank = {token: i for i, token in enumerate(order)}
+        order = sorted((*nodes, EOS, POP))  # by name first, so the keyed sort has little left to do
+        order.sort(key=token_sort_key)
+        self._rank = dict(zip(order, range(len(order))))
         self._alphabet = tuple([token for token in order if token != root])
-        rank = self._rank.__getitem__
-        self._start = {
-            n: tuple(sorted((*children.get(n, ()), EOS if n == root else POP), key=rank)) for n in nodes
-        }
+        # One walk of the rank order fills every start vocabulary: a label joins its parent's,
+        # ``<eos>`` the root's and POP every other node's, each where its rank puts it.
+        start: dict[str, list[str]] = {n: [] for n in nodes}
+        for token in order:
+            if token == POP:
+                for node in parent:
+                    start[node].append(POP)
+            elif token != root:
+                start[parent.get(token, root)].append(token)
+        self._start = dict(zip(start, map(tuple, start.values())))
 
     @classmethod
     def from_edges(cls, edges: Sequence[tuple[str, str]]) -> "Taxonomy":
@@ -202,19 +212,20 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
     # Only \n, \r\n and \r end a line, as in a file the CLI reads; str.splitlines() also splits at \v, U+2028...
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         # Split before stripping, so that a blank name stays a field; tabs after the child are ignored.
-        fields = [f.strip() for f in raw.split("\t")]
-        while len(fields) > 2 and not fields[-1]:
+        fields = raw.split("\t")
+        while len(fields) > 2 and not fields[-1].strip():
             fields.pop()
+        parent, child = fields[0].strip(), fields[-1].strip()
         if len(fields) != 2:
             issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got {len(fields)} fields"))
-        elif not (fields[0] and fields[1]):
-            blank = "child" if fields[0] else "parent"
+        elif not (parent and child):
+            blank = "child" if parent else "parent"
             issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got an empty {blank} name"))
         else:
-            edges.append((fields[0], fields[1]))
+            edges.append((parent, child))
     return edges, issues
 
 
@@ -231,60 +242,64 @@ def _index(edges: Sequence[tuple[str, str]], issues: list[Issue]) -> tuple[Valid
 
     nodes: dict[str, None] = {}  # first-appearance order
     children: dict[str, list[str]] = {}
-    parents_of: dict[str, set[str]] = {}
+    parent_of: dict[str, str] = {}  # each child's first parent
+    parents_of: dict[str, set[str]] = {}  # every parent, of a child named in more than one edge
     duplicates: list[Issue] = []
     for parent, child in edges:
         nodes[parent] = nodes[child] = None
-        parents = parents_of.setdefault(child, set())
-        if parent in parents:
-            duplicates.append(Issue("DUPLICATE_EDGE", f"duplicate edge {parent!r} -> {child!r}"))
-        else:
+        if child in parent_of:
+            parents = parents_of.setdefault(child, {parent_of[child]})
+            if parent in parents:
+                duplicates.append(Issue("DUPLICATE_EDGE", f"duplicate edge {parent!r} -> {child!r}"))
+                continue
             parents.add(parent)
-            children.setdefault(parent, []).append(child)
+        else:
+            parent_of[child] = parent
+        children.setdefault(parent, []).append(child)
 
-    for name in nodes:
-        if name in RESERVED_TOKENS:
-            issues.append(Issue("RESERVED_NAME", f"{name!r} is a reserved token name"))
-        # Rendered sequences separate tokens with whitespace (str.split), so
-        # such a name could not be read back from a sequence.
-        if any(map(str.isspace, name)):
-            issues.append(Issue("WHITESPACE_NAME", f"{name!r} contains whitespace"))
-        if name.startswith("#"):  # its line would be read back as a comment
-            issues.append(Issue("COMMENT_NAME", f"{name!r} starts with '#', which marks a comment line"))
+    # Rendered sequences separate tokens with whitespace (str.split), so a name with whitespace
+    # could not be read back from a sequence. One look at all names finds whether any may break a rule.
+    joined = "".join(nodes)
+    if "#" in joined or joined.split() != [joined] or not RESERVED_TOKENS.isdisjoint(nodes):
+        for name in nodes:
+            if name in RESERVED_TOKENS:
+                issues.append(Issue("RESERVED_NAME", f"{name!r} is a reserved token name"))
+            if any(map(str.isspace, name)):
+                issues.append(Issue("WHITESPACE_NAME", f"{name!r} contains whitespace"))
+            if name.startswith("#"):  # its line would be read back as a comment
+                issues.append(Issue("COMMENT_NAME", f"{name!r} starts with '#', which marks a comment line"))
     issues += duplicates
 
-    for child, parents in sorted(parents_of.items()):
-        if len(parents) > 1:
-            issues.append(Issue("MULTIPLE_PARENTS", f"{child!r} has parents {sorted(parents)}"))
+    # The Kahn peel below peels a child of several parents once all of them are peeled.
+    waiting = {child: len(parents) - 1 for child, parents in parents_of.items() if len(parents) > 1}
+    for child in sorted(waiting):
+        issues.append(Issue("MULTIPLE_PARENTS", f"{child!r} has parents {sorted(parents_of[child])}"))
 
-    roots = [n for n in nodes if n not in parents_of]
+    roots = [n for n in nodes if n not in parent_of]
     if not roots:
         issues.append(Issue("NO_ROOT", "no node is parent-only; every node appears as a child"))
     elif len(roots) > 1:
         issues.append(Issue("MULTIPLE_ROOTS", f"multiple root candidates: {roots}"))
 
-    # Kahn peel from the roots, assigning parents and depths as it goes; a
-    # node never peeled keeps an in-edge from a cycle, so it lies on or below one.
-    indegree = {child: len(parents) for child, parents in parents_of.items()}
-    parent_table: dict[str, str] = {}
+    # Kahn peel from the roots, assigning depths as it goes; a node never peeled keeps an in-edge
+    # from a cycle, so it lies on or below one.
     depth = dict.fromkeys(roots, 0)
     queue = list(roots)
     while queue:
         node = queue.pop()
         for child in children.get(node, ()):
-            indegree[child] -= 1
-            if indegree[child] == 0:
-                parent_table[child] = node
+            if waiting and waiting.get(child):
+                waiting[child] -= 1
+            else:
                 depth[child] = depth[node] + 1
                 queue.append(child)
-    cyclic = sorted(n for n in nodes if n not in depth)
-    if cyclic:
-        issues.append(Issue("CYCLE", f"cycle involving {cyclic}"))
+    if len(depth) < len(nodes):
+        issues.append(Issue("CYCLE", f"cycle involving {sorted(n for n in nodes if n not in depth)}"))
 
     if issues:
         return ValidationReport(tuple(issues)), None
     tree = {parent: tuple(kids) for parent, kids in children.items()}
-    return ValidationReport(), (roots[0], tree, tuple(nodes), parent_table, depth)
+    return ValidationReport(), (roots[0], tree, tuple(nodes), parent_of, depth)
 
 
 def _build(edges: Sequence[tuple[str, str]], issues: list[Issue]) -> Taxonomy:

@@ -315,6 +315,7 @@ MEDIA_ALPHABET = ["Action", "Business", "Company", "Documentary", "Entertainment
         pytest.param(b'{"alphabet": ' + b"[" * 100_000, id="deep-nesting"),
         pytest.param(b'{"alphabet": [], "counts": {"Root": {"Movie": ' + b"1" * 5000 + b"}}}", id="int-digits"),
         pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": 10**400}}}, id="count-huge"),
+        pytest.param({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Movie": 2**53}}}, id="count-2**53"),
     ],
 )
 def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file, tmp_path, capsys):
@@ -326,6 +327,19 @@ def test_decode_bigram_rejects_a_malformed_model(content, tax_file, corpus_file,
     assert out == ""
     assert "Traceback" not in err
     assert json.loads(err)["error"] == "MODEL_FORMAT"
+
+
+def test_decode_bigram_loads_the_largest_count(tax_file, corpus_file, tmp_path, capsys):
+    # Counts lie in [0, 2**53): the largest is exact as a float and decodes like any other.
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"alphabet": MEDIA_ALPHABET, "counts": {"Root": {"Business": 2**53 - 1}}}))
+    predictions = tmp_path / "pred.jsonl"
+    code, out, err = run(capsys, "decode", "--taxonomy", tax_file, "--input", corpus_file,
+                         "--output", str(predictions), "--scorer", "bigram", "--model", str(model))
+    assert (code, out) == (0, "")
+    rows = [json.loads(line) for line in predictions.read_text().splitlines()]
+    assert json.loads(err)["decoded"] == len(rows) > 0
+    assert all(row["sequence"][:2] == ["Root", "Business"] for row in rows)
 
 
 def test_decode_bigram_reads_a_model_alphabet_in_any_order(tax_file, corpus_file, tmp_path, capsys):

@@ -41,7 +41,7 @@ def test_records_are_exact_document_records(tmp_path):
 
 def test_blank_lines_skipped(tmp_path):
     path = tmp_path / "corpus.jsonl"
-    path.write_text('{"id": "d1", "text": "x"}\n\n{"id": "d2", "text": "y"}\n')
+    path.write_text('{"id": "d1", "text": "x"}\n\n \t \n\t\n{"id": "d2", "text": "y"}\n  \n')
     assert [d.id for d in read_documents(path)] == ["d1", "d2"]
 
 
@@ -128,6 +128,14 @@ SCANNED_LINES = {
     "bare-number": "3",
     "long-integer": '{"id": "a", "n": ' + "7" * 5000 + "}",
     "deep-nesting": "[" * 100_000,
+    # Whitespace that JSON does not allow: such a line is not blank, so it is bad JSON.
+    "form-feed-only": "\x0c",
+    "vertical-tab-only": "\x0b",
+    "file-separator-only": "\x1c",
+    "next-line-only": "\x85",
+    "no-break-space-only": "\xa0",
+    "line-separator-only": "\u2028",
+    "spaces-around-a-form-feed": " \x0c\t",
 }
 
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import MEDIA_EDGES, random_taxonomy
+from conftest import MEDIA_EDGES, STRADDLING_NAMES, random_taxonomy
 from treedecode import (
     DocumentRecord,
     InconsistentLabelSetError,
@@ -16,6 +16,7 @@ from treedecode import (
     parse_taxonomy,
     validate_taxonomy,
 )
+from treedecode.tokens import EOS, POP, RESERVED_TOKENS, token_sort_key
 
 
 def test_parse_media_taxonomy(media_tax):
@@ -346,3 +347,133 @@ def test_taxonomy_is_immutable_surface(media_tax):
 def test_from_edges_matches_parse(media_tax):
     edges = [tuple(line.split("\t")) for line in MEDIA_EDGES.strip().splitlines()]
     assert Taxonomy.from_edges(edges) == media_tax
+
+
+def _reference_report(text: str) -> dict:
+    """The validator written plainly: a loop per line and per name, a set of parents per child
+    and a Kahn peel over in-degrees, each issue in the order the report lists them."""
+    issues = []
+    if text.startswith("\ufeff"):
+        issues.append(("ENCODING", "text starts with a UTF-8 byte-order mark (U+FEFF)"))
+        text = text[1:]
+    edges = []
+    for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [field.strip() for field in raw.split("\t")]
+        while len(fields) > 2 and not fields[-1]:
+            fields.pop()
+        if len(fields) != 2:
+            issues.append(("EMPTY", f"line {lineno}: expected parent<TAB>child, got {len(fields)} fields"))
+        elif not (fields[0] and fields[1]):
+            blank = "child" if fields[0] else "parent"
+            issues.append(("EMPTY", f"line {lineno}: expected parent<TAB>child, got an empty {blank} name"))
+        else:
+            edges.append((fields[0], fields[1]))
+    if not edges:
+        return _issues(*issues) if issues else _issues(("EMPTY", "no edges found"))
+
+    nodes, children, parents_of, duplicates = {}, {}, {}, []
+    for parent, child in edges:
+        nodes[parent] = nodes[child] = None
+        parents = parents_of.setdefault(child, set())
+        if parent in parents:
+            duplicates.append(("DUPLICATE_EDGE", f"duplicate edge {parent!r} -> {child!r}"))
+        else:
+            parents.add(parent)
+            children.setdefault(parent, []).append(child)
+    for name in nodes:
+        if name in RESERVED_TOKENS:
+            issues.append(("RESERVED_NAME", f"{name!r} is a reserved token name"))
+        if any(character.isspace() for character in name):
+            issues.append(("WHITESPACE_NAME", f"{name!r} contains whitespace"))
+        if name.startswith("#"):
+            issues.append(("COMMENT_NAME", f"{name!r} starts with '#', which marks a comment line"))
+    issues += duplicates
+    for child in sorted(parents_of):
+        if len(parents_of[child]) > 1:
+            issues.append(("MULTIPLE_PARENTS", f"{child!r} has parents {sorted(parents_of[child])}"))
+    roots = [name for name in nodes if name not in parents_of]
+    if not roots:
+        issues.append(("NO_ROOT", "no node is parent-only; every node appears as a child"))
+    elif len(roots) > 1:
+        issues.append(("MULTIPLE_ROOTS", f"multiple root candidates: {roots}"))
+    indegree = {child: len(parents) for child, parents in parents_of.items()}
+    peeled, queue = set(roots), list(roots)
+    while queue:
+        for child in children.get(queue.pop(), ()):
+            indegree[child] -= 1
+            if indegree[child] == 0:
+                peeled.add(child)
+                queue.append(child)
+    if len(peeled) < len(nodes):
+        issues.append(("CYCLE", f"cycle involving {sorted(set(nodes) - peeled)}"))
+    return _issues(*issues) if issues else {"ok": True, "issues": []}
+
+
+_ODD_NAMES = ("POP", "<eos>", "<bos>", "a\xa0b", "a\x0bb", "a b", "\xa0", "#A", "#", "a#b")
+_BAD_LINES = ("", "  ", "\t\t", "# comment", "\t# comment", "no tab", "\tB", "C\t", "C\t \t", "A\tB\tC", "A\t\tB")
+
+
+def _faulty_edge_text(rng: random.Random) -> str:
+    """A tree's edge list with up to four faults mixed in, every line ended by \\n, \\r\\n or \\r."""
+    names = rng.sample("RABCDEFGH", rng.randint(2, 9))
+    edges = [(rng.choice(names[:i]), names[i]) for i in range(1, len(names))]
+    for _ in range(rng.randint(0, 4)):
+        fault = rng.randrange(6)
+        if fault == 0:  # a duplicate edge
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice(edges))
+        elif fault == 1:  # a second parent, which may close a cycle or a self-loop, or a parent of the root
+            edges.insert(rng.randrange(len(edges) + 1), (rng.choice(names), rng.choice(names)))
+        elif fault == 2:  # a cycle with a node hanging below it, reached from the tree or not
+            x, y, z = rng.sample("XYZW", 3)
+            edges += [(x, y), (y, x), (y, z)] + [(rng.choice(names), x)] * rng.randrange(2)
+        elif fault == 3:  # a second tree
+            edges.append(("Q", rng.choice(["P", *names])))
+        else:  # an odd name, as a child or as a parent
+            odd = rng.choice(_ODD_NAMES)
+            edges.insert(rng.randrange(len(edges) + 1), rng.choice([(rng.choice(names), odd), (odd, "K")]))
+    lines = [rng.choice(["{}\t{}", " {} \t{}", "{}\t{}\t", "{}\t {}\t \t"]).format(*edge) for edge in edges]
+    for _ in range(rng.choice([0, 0, 1, 2])):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(_BAD_LINES))
+    text = "".join(line + rng.choice(["\n", "\n", "\r\n", "\r"]) for line in lines)
+    return ("\ufeff" + text) if rng.random() < 0.03 else text
+
+
+def test_validation_report_matches_a_plain_reference_on_mixed_faults():
+    rng = random.Random(30)
+    seen = set()
+    for _ in range(3000):
+        text = _faulty_edge_text(rng)
+        expected = _reference_report(text)
+        assert validate_taxonomy(text).to_dict() == expected, text
+        seen.update(issue["code"] for issue in expected["issues"])
+        seen.add("OK" if expected["ok"] else "FAULT")
+    assert seen == {
+        "OK", "FAULT", "ENCODING", "EMPTY", "RESERVED_NAME", "WHITESPACE_NAME", "COMMENT_NAME",
+        "DUPLICATE_EDGE", "MULTIPLE_PARENTS", "NO_ROOT", "MULTIPLE_ROOTS", "CYCLE",
+    }
+
+
+def test_automaton_tables_match_their_definition():
+    # The rank order is one sort by token_sort_key; every table is read off it.
+    names = (*STRADDLING_NAMES, "POPS", "~", "A", "b", "m")
+    rng = random.Random(31)
+    for _ in range(300):
+        tree = rng.sample(names, rng.randint(2, len(names)))
+        edges = [(rng.choice(tree[:i]), tree[i]) for i in range(1, len(tree))]
+        rng.shuffle(edges)
+        tax = Taxonomy.from_edges(edges)
+        order = sorted((*tax.nodes, EOS, POP), key=token_sort_key)
+        assert tax._rank == {token: rank for rank, token in enumerate(order)}
+        assert tax._alphabet == tuple(token for token in order if token != tax.root)
+        assert tax._start.keys() == set(tax.nodes)
+        for node in tax.nodes:
+            end = EOS if node == tax.root else POP
+            members = {*tax.children(node), end}
+            assert tax._start[node] == tuple(token for token in order if token in members)
+            assert tax._start[node][-1] == end
+        parsed = parse_taxonomy("".join(f"{parent}\t{child}\n" for parent, child in edges))
+        for table in ("_root", "_children", "_nodes", "_parent", "_depth", "_rank", "_alphabet", "_start"):
+            assert getattr(parsed, table) == getattr(tax, table), table
