@@ -11,10 +11,10 @@ Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
 or holds only spaces and tabs, the whitespace JSON allows, is blank and skipped.
 Any other line, even one of other whitespace such as a form feed, is parsed by
 one call of the JSON decoder's scanner, which takes a value starting at the
-line's first character. Only when the scanner raises or stops
-before the line's end (leading or trailing whitespace, a BOM, extra data, a bad
-value) is the line parsed again by ``json.loads``, whose object or error text is
-then the result, so every line reads exactly as ``json.loads`` reads it.
+line's first character. Only when the scanner raises or stops before the line's
+end (leading or trailing whitespace, a BOM, extra data, a bad value) is the line
+parsed again by ``json.loads``, whose object or error text is then the result,
+so every line reads exactly as ``json.loads`` reads it.
 Streamed output goes through ``buffered_output``, which writes only once its
 writer succeeds.
 """
