@@ -3,8 +3,8 @@
 A corpus record is ``{"id": ..., "text": ..., "labels": [...]}``; text
 may be empty or absent and labels may be absent for decode-only input.
 Ids must be strings, unique within a file, text a string and labels,
-when present, a JSON list of strings. Prediction files use the same record
-shape, with labels required and text ignored.
+when present, a JSON list of strings that names no label twice. Prediction
+files use the same record shape, with labels required and text ignored.
 
 Files are read one line at a time (``iter_jsonl``, ``iter_documents``;
 ``read_jsonl`` and ``read_documents`` are lists of them). A line that is empty
@@ -132,7 +132,7 @@ def required_labels(doc: DocumentRecord, source: str | None = None) -> frozenset
 def iter_documents(path: str | Path) -> Iterator[DocumentRecord]:
     """Yield corpus or prediction records as they are read.
 
-    Ids are strings, unique in the file; text is a string and labels a list of strings.
+    Ids are strings, unique in the file; text is a string and labels a list of distinct strings.
     """
     for index, doc_id, row in records_with_ids(path):
         text = row.get("text", "")
@@ -141,13 +141,18 @@ def iter_documents(path: str | Path) -> Iterator[DocumentRecord]:
                 f"{path}: record {index} has text of type {type(text).__name__}, not a string"
             )
         labels = row.get("labels")
-        if labels is not None and not (
-            isinstance(labels, list) and all(map(isinstance, labels, repeat(str)))
-        ):
-            raise CorpusFormatError(
-                f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
-            )
-        yield DocumentRecord._make((doc_id, text, None if labels is None else frozenset(labels)))
+        if labels is not None:
+            if not (isinstance(labels, list) and all(map(isinstance, labels, repeat(str)))):
+                raise CorpusFormatError(
+                    f"{path}: record {index} has labels {labels!r:.60}, not a list of strings"
+                )
+            label_set = frozenset(labels)
+            if len(label_set) < len(labels):  # name the first label that repeats an earlier one
+                seen: set[str] = set()
+                repeated = next(label for label in labels if label in seen or seen.add(label))
+                raise CorpusFormatError(f"{path}: record {index} repeats label {repeated!r}")
+            labels = label_set
+        yield DocumentRecord._make((doc_id, text, labels))
 
 
 def read_documents(path: str | Path) -> list[DocumentRecord]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from itertools import pairwise
 from pathlib import Path
 from typing import TextIO
@@ -98,24 +98,16 @@ class BigramScorer:
 
     Raw scores are log P(next | previous token); the document text is
     ignored. Probabilities over the full alphabet sum to 1 for every
-    context before any vocabulary restriction. ``score`` fills one row of
-    log probabilities per context on first use: the counted tokens plus
-    one shared value for every uncounted token, each computed exactly as
+    context before any vocabulary restriction, and each score is exactly
     ``math.log(probability(prev, token))``. The counts are not meant to
     change after construction. Scores read only ``prefix[-1]``, so the
     class declares ``markov_order = 1``: beam search then scores each (last
     token, vocabulary) once per decode. They never read the text, so it
     declares ``reads_text = False``: the CLI's ``decode`` then searches once
-    per run, not once per document (see ``decoding.Scorer``). The beam's
-    memo leaves the rows their use: an unconstrained decode scores the
-    whole alphabet once per context,
-    mostly tokens never counted after it, and a row takes one logarithm per
-    counted token plus one for all the rest, not one per candidate. Without
-    the rows, the benchmark's ``ablation`` workload decoded 3.5% fewer
-    documents per second (medians of six alternating pairs; Python 3.11,
-    2 CPUs). Only the alphabet's size enters a probability, so its order
-    carries no meaning. The constructor, and so ``load``, raises ModelFormatError for
-    an alphabet that is empty, repeats a token or holds a non-string (add-one
+    per run, not once per document (see ``decoding.Scorer``). Only the
+    alphabet's size enters a probability, so its order carries no meaning.
+    The constructor, and so ``load``, raises ModelFormatError for an
+    alphabet that is empty, repeats a token or holds a non-string (add-one
     would divide by 0 or count a token twice), and for a count that is not an
     integer in [0, 2**53) or whose next token is not in the alphabet.
     """
@@ -147,25 +139,18 @@ class BigramScorer:
         self.counts = counts
         self.repaired_docs = repaired_docs
         self._totals = {prev: sum(nxt.values()) for prev, nxt in counts.items()}
-        self._log_rows: dict[str, tuple[dict[str, float], float]] = {}
 
-    def _add_one(self, prev: str, count: int) -> float:
-        return (count + 1) / (self._totals.get(prev, 0) + len(self.alphabet))
+    def _add_one(self, prev: str, tokens: Iterable[str], apply: Callable[[float], float]) -> dict[str, float]:
+        """``apply`` of the add-one probability of each of ``tokens`` after context ``prev``."""
+        row = self.counts.get(prev, {})
+        denominator = self._totals.get(prev, 0) + len(self.alphabet)
+        return {token: apply((row.get(token, 0) + 1) / denominator) for token in tokens}
 
     def probability(self, prev: str, token: str) -> float:
-        return self._add_one(prev, self.counts.get(prev, {}).get(token, 0))
-
-    def _log_row(self, prev: str) -> tuple[dict[str, float], float]:
-        counted = {t: math.log(self._add_one(prev, n)) for t, n in self.counts.get(prev, {}).items()}
-        return counted, math.log(self._add_one(prev, 0))
+        return self._add_one(prev, (token,), float)[token]  # float returns a float unchanged
 
     def score(self, text, prefix, candidates):
-        prev = prefix[-1]
-        row = self._log_rows.get(prev)
-        if row is None:
-            row = self._log_rows[prev] = self._log_row(prev)
-        counted, unseen = row
-        return {token: counted.get(token, unseen) for token in candidates}
+        return self._add_one(prefix[-1], candidates, math.log)
 
     def to_dict(self) -> dict:
         counts = {prev: dict(nxt) for prev, nxt in self.counts.items()}

@@ -5,12 +5,13 @@ line; lines starting with ``#`` and blank lines are ignored. Names may not
 contain whitespace, which separates tokens in a rendered sequence. The
 root is the unique node that never appears as a child. Child order is the
 order of first appearance in the file and fixes linearization order; the
-decoder breaks ties by a rank table (labels by name, then ``<eos>``, then POP)
-built once with the taxonomy by one sort with ``token_sort_key``. One walk of
-that order fills its alphabet and per-node start vocabularies (children, then
-POP or ``<eos>``). A valid file is read, checked and laid out in linear passes:
-the name rules run name by name only once a look at all names finds a suspect,
-and only the children with several parents are sorted, to report them.
+decoder breaks ties by a rank table (labels by name, then ``<eos>``, then POP,
+as ``token_sort_key`` orders them), built once with the taxonomy by one sort
+of the node names. One walk of that order fills its alphabet and per-node
+start vocabularies (children, then POP or ``<eos>``). A valid file is read,
+checked and laid out in linear passes: the name rules run name by name only
+once a look at all names finds a suspect, and only the children with several
+parents are sorted, to report them.
 """
 
 from __future__ import annotations
@@ -67,11 +68,10 @@ class Taxonomy:
         self._nodes = nodes
         self._parent = parent
         self._depth = depth
-        # The decoder's tie-break order as data, from one sort by ``token_sort_key``: each token's
-        # rank, the non-root alphabet, and every node's start vocabulary (the automaton frame it
-        # opens when pushed: its children, then POP or ``<eos>`` for the root), all in rank order.
-        order = sorted((*nodes, EOS, POP))  # by name first, so the keyed sort has little left to do
-        order.sort(key=token_sort_key)
+        # The decoder's tie-break order (``token_sort_key``; no node has a reserved name) as data:
+        # each token's rank, the non-root alphabet, and every node's start vocabulary (the automaton
+        # frame it opens when pushed: its children, then POP or ``<eos>`` for the root), in rank order.
+        order = [*sorted(nodes), *sorted((EOS, POP), key=token_sort_key)]
         self._rank = dict(zip(order, range(len(order))))
         self._alphabet = tuple([token for token in order if token != root])
         # One walk of the rank order fills every start vocabulary: a label joins its parent's,

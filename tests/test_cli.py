@@ -673,6 +673,8 @@ MIXED_ERRORS = _error_lines(
 # only within a file: "{bad}" holds the failing record "b", beside a good file "{good}".
 # (An unknown label in evaluate's files is named by test_every_command_rejects_the_root_as_a_label.)
 NO_LABELS, JAZZ = ({"id": "b"}, "CORPUS_FORMAT"), ({"id": "b", "labels": ["Jazz"]}, "UNKNOWN_LABEL")
+REPEATED = ({"id": "b", "labels": ["Business", "Company", "Business"]}, "CORPUS_FORMAT")
+REPEATED_ERROR = "{bad}: record 2 repeats label 'Business'"
 STATS = ["stats", "--split", "train={good}", "--split", "test={bad}"]
 
 
@@ -684,14 +686,25 @@ STATS = ["stats", "--split", "train={good}", "--split", "test={bad}"]
          "document 'b' has no labels in --predictions"),
         (STATS, NO_LABELS, "document 'b' has no labels in split 'test'"),
         (STATS, JAZZ, "document 'b': unknown label 'Jazz' in split 'test'"),
+        # A repeated label is named with its file and record by every command that reads labels.
+        (["linearize", "--input", "{bad}"], REPEATED, REPEATED_ERROR),
+        (["fit", "--input", "{bad}", "--output", "-"], REPEATED, REPEATED_ERROR),
+        (["decode", "--input", "{bad}", "--scorer", "oracle"], REPEATED, REPEATED_ERROR),
+        (["evaluate", "--gold", "{bad}", "--predictions", "{good}"], REPEATED, REPEATED_ERROR),
+        (["evaluate", "--gold", "{good}", "--predictions", "{bad}"], REPEATED, REPEATED_ERROR),
+        (STATS, REPEATED, REPEATED_ERROR),
     ],
-    ids=["evaluate-gold", "evaluate-predictions", "stats-second-split", "stats-second-split-unknown-label"],
+    ids=[
+        "evaluate-gold", "evaluate-predictions", "stats-second-split", "stats-second-split-unknown-label",
+        "linearize-repeated-label", "fit-repeated-label", "decode-oracle-repeated-label",
+        "evaluate-gold-repeated-label", "evaluate-predictions-repeated-label", "stats-repeated-label",
+    ],
 )
 def test_a_bad_record_names_its_file(argv, bad_record, error, tax_file, tmp_path, capsys):
     (record, code), good, bad = bad_record, tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
     write_jsonl(good, [{"id": "a", "labels": ["Entertainment"]}, {"id": "b", "labels": ["Business"]}])
     write_jsonl(bad, [{"id": "a", "labels": ["Entertainment"]}, record])
-    argv = [arg.format(good=good, bad=bad) for arg in argv]
+    argv, error = [arg.format(good=good, bad=bad) for arg in argv], error.format(bad=bad)
     assert run(capsys, argv[0], "--taxonomy", tax_file, *argv[1:]) == (1, "", _error_lines((code, error)))
 
 

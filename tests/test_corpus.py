@@ -73,11 +73,22 @@ def test_non_object_row(tmp_path):
         read_jsonl(path)
 
 
-@pytest.mark.parametrize("labels", ['"AB"', '{"A": 1}', "3", '["A", null]', '["A", 3]'])
+# Each labels value, and what its error says.
+LABEL_ERRORS = {
+    '"AB"': "not a list",
+    '{"A": 1}': "not a list",
+    "3": "not a list",
+    '["A", null]': "not a list",
+    '["A", 3]': "not a list",
+    '["B", "A", "A", "C", "C", "B"]': "record 1 repeats label 'A'",  # the first to repeat an earlier one
+}
+
+
+@pytest.mark.parametrize("labels", LABEL_ERRORS)
 def test_labels_must_be_a_list(tmp_path, labels):
     path = tmp_path / "corpus.jsonl"
     path.write_text('{"id": "d1", "labels": %s}\n' % labels)
-    with pytest.raises(CorpusFormatError, match="not a list"):
+    with pytest.raises(CorpusFormatError, match=LABEL_ERRORS[labels]):
         read_documents(path)
 
 

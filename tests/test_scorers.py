@@ -179,7 +179,7 @@ def test_bigram_constructor_rejects_what_load_rejects(alphabet, counts, tmp_path
         BigramScorer.load(path)
 
 
-def test_bigram_cached_rows_equal_the_formula_bit_for_bit(media_tax, tmp_path):
+def test_bigram_scores_equal_the_formula_bit_for_bit(media_tax, tmp_path):
     corpus = _media_corpus([
         {"Entertainment", "Movie", "Documentary"},
         {"Business", "Company"},
@@ -193,7 +193,7 @@ def test_bigram_cached_rows_equal_the_formula_bit_for_bit(media_tax, tmp_path):
     contexts = (media_tax.root, *alphabet, "Unseen")
     candidates = (*alphabet, "Outside")
     for model in (scorer, BigramScorer.load(path)):
-        for _ in range(2):  # the first pass fills the rows, the second reads them
+        for _ in range(2):  # the second pass scores contexts the object has already scored
             for prev in contexts:
                 scores = model.score("", ("Root", prev), candidates)
                 assert list(scores) == list(candidates)
