@@ -28,7 +28,10 @@ from its automaton frame (see ``linearizer``) already in that order: no
 set is built, filtered or sorted. One list kernel (``_log_softmax``) reads
 the scorer's mapping once into a list aligned with the tuple, ignoring
 other keys, and turns it into log probabilities; ``restricted_log_softmax``
-and ``sequence_nll`` use the same kernel. A scorer that declares
+and ``sequence_nll`` use the same kernel. A row whose scores are all equal
+(a uniform scorer, an oracle off its target, a context a bigram model never
+counted) becomes ``-log(n)`` per token with no exponentials, bit for bit
+what the general max-shifted formula gives. A scorer that declares
 ``markov_order = 1`` is scored once per (last token, vocabulary) per
 decode, in a memo that lives for that decode only. ``reads_text = False``
 is read by the CLI's ``decode`` alone, which then searches once per run.
@@ -170,9 +173,12 @@ def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]
     Each token's score is read from ``raw``; other keys are ignored, and a
     token without a score is an InvalidScoreError. Numerically stable
     (max-shifted), hence exactly invariant under adding a constant to all
-    scores. A singleton yields log probability 0.0 exactly. This is the only
-    softmax: ``restricted_log_softmax``, the beam and ``sequence_nll`` all
-    run through it.
+    scores. A singleton yields log probability 0.0 exactly, and a row of n
+    equal finite scores yields ``-log(n)`` for each token without taking
+    exponentials: bit for bit what the general formula gives, since each
+    relative score is 0.0 and the sum of their exponentials is ``float(n)``.
+    This is the only softmax: ``restricted_log_softmax``, the beam and
+    ``sequence_nll`` all run through it.
     """
     if not tokens:
         raise IllegalStateError("empty dynamic vocabulary")
@@ -191,6 +197,10 @@ def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]
     if len(values) == 1:
         return [0.0]
     peak = max(values)
+    if min(values) == peak:
+        # A tied row: each relative score is 0.0, exp gives 1.0 and fsum
+        # float(n), so the formula below yields -log(n) for every token.
+        return [-math.log(len(values))] * len(values)
     relative = [value - peak for value in values]
     log_norm = math.log(math.fsum(map(math.exp, relative)))
     return [r - log_norm for r in relative]

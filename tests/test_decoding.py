@@ -216,11 +216,42 @@ def test_state_from_prefix_requires_root(media_tax):
 # -- restricted softmax ------------------------------------------------------
 
 
+def max_shifted_log_softmax(values):
+    """The general max-shifted formula, written out with no short path for tied rows."""
+    peak = max(values)
+    relative = [value - peak for value in values]
+    log_norm = math.log(math.fsum(map(math.exp, relative)))
+    return [r - log_norm for r in relative]
+
+
+def bits(values):
+    """Each value's exact bits; float.hex also rejects an int."""
+    return list(map(float.hex, values))
+
+
 def test_softmax_uniform_case():
     vocab = frozenset({"a", "b", "c"})
     probs = restricted_softmax({"a": 0.0, "b": 0.0, "c": 0.0}, vocab)
-    for value in probs.values():
-        assert value == pytest.approx(1 / 3, abs=1e-15)
+    expected = math.exp(max_shifted_log_softmax([0.0, 0.0, 0.0])[0])
+    assert bits(probs.values()) == bits([expected] * 3)
+
+
+def test_tied_rows_equal_the_general_formula_bit_for_bit():
+    # -log(n) and log(1/n) differ in the last bit at n = 7 and 10, so a
+    # short path that rounds differently from the general formula fails here.
+    for n in range(2, 65):
+        tokens = [f"t{i}" for i in range(n)]
+        rows = {
+            "zero": [0.0] * n,
+            "int zero": [0] * n,
+            "negative": [-7.25] * n,
+            "sum overflows": [1e308] * n,
+            "signed zeros": [0.0 if i % 2 else -0.0 for i in range(n)],
+            "int and float zeros": [0 if i % 2 else 0.0 for i in range(n)],
+        }
+        for name, values in rows.items():
+            log_probs = restricted_log_softmax(dict(zip(tokens, values)), tokens)
+            assert bits(log_probs.values()) == bits(max_shifted_log_softmax(values)), (n, name)
 
 
 def test_softmax_closed_form_two_logits():
@@ -278,6 +309,10 @@ def test_softmax_error_cases():
         restricted_softmax({"a": 0.0}, frozenset({"a", "b"}))
     with pytest.raises(IllegalStateError, match="token 'a' repeats"):
         restricted_softmax({"a": 0.0, "b": 0.0}, ["a", "a", "b"])
+    # A tied row of non-finite scores is still rejected, naming its first token.
+    for tied in (float("inf"), float("-inf")):
+        with pytest.raises(InvalidScoreError, match="for token 'a'"):
+            restricted_softmax({"a": tied, "b": tied}, ["a", "b"])
 
 
 def test_softmax_ignores_scores_outside_the_vocabulary():
