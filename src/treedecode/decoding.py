@@ -15,6 +15,13 @@ from a pluggable scorer are normalized with a softmax over just this
 vocabulary, which is what guarantees that any decoded label set is
 consistent no matter how adversarial the scorer is.
 
+A one-token vocabulary (POP after a leaf, ``<eos>`` once the root's
+children are used) is a forced step: the softmax gives its token log
+probability 0.0 whatever its finite score, so the beam and
+``sequence_nll`` take it without asking the scorer. Only the public
+``restricted_log_softmax`` still reads and checks the score of a
+one-token row.
+
 The root token opens every sequence deterministically and carries no
 probability mass.
 
@@ -33,8 +40,9 @@ and ``sequence_nll`` use the same kernel. A row whose scores are all equal
 counted) becomes ``-log(n)`` per token with no exponentials, bit for bit
 what the general max-shifted formula gives. A scorer that declares
 ``markov_order = 1`` is scored once per (last token, vocabulary) per
-decode, in a memo that lives for that decode only. ``reads_text = False``
-is read by the CLI's ``decode`` alone, which then searches once per run.
+decode, in a memo that lives for that decode only and holds no forced
+step. ``reads_text = False`` is read by the CLI's ``decode`` alone, which
+then searches once per run.
 Active hypotheses are plain ``(logprob, tokens, frame)`` tuples, banked
 ones ``(key, tokens)`` pairs, and only the final bank becomes
 ``DecodedSequence`` objects. A step ranks its expansions' float totals
@@ -75,6 +83,12 @@ class Scorer(Protocol):
     depend on tokens outside the supplied candidate set. Scores for extra
     tokens are ignored; a candidate without a score is an
     InvalidScoreError.
+
+    A scorer is asked only where there is a choice: a step whose
+    vocabulary holds one token is forced, takes that token at log
+    probability 0.0 and calls no scorer, in the beam and in
+    ``sequence_nll``. So ``score`` always gets two or more candidates,
+    and a scorer that could not score a lone candidate fails no decode.
 
     The optional class attribute ``markov_order = 1`` promises that scores
     depend only on ``text``, ``prefix[-1]`` and ``candidates``: beam search
@@ -178,7 +192,8 @@ def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]
     exponentials: bit for bit what the general formula gives, since each
     relative score is 0.0 and the sum of their exponentials is ``float(n)``.
     This is the only softmax: ``restricted_log_softmax``, the beam and
-    ``sequence_nll`` all run through it.
+    ``sequence_nll`` all run through it. Only ``restricted_log_softmax``
+    passes it a singleton; the other two take that 0.0 without a score.
     """
     if not tokens:
         raise IllegalStateError("empty dynamic vocabulary")
@@ -229,8 +244,9 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
 
     Factorizes over steps: each token's probability comes from the
     restricted softmax over that step's dynamic vocabulary, the terminal
-    ``<eos>`` step included. The forced root contributes 0, so forced
-    (singleton-vocabulary) paths cost exactly 0.
+    ``<eos>`` step included. The forced root contributes 0, and so does
+    every forced (one-token vocabulary) step, which asks the scorer
+    nothing, as in the beam: a forced path costs exactly 0.
     """
     report = validate_sequence(tax, gold)
     if not report.ok:
@@ -240,7 +256,8 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     for end, token in enumerate([*gold[1:], EOS], start=1):
         vocab = frame[0]
         index = vocab.index(token)
-        total -= _log_softmax(scorer.score(text, tuple(gold[:end]), vocab), vocab)[index]
+        if len(vocab) > 1:  # a forced step costs 0.0 and asks the scorer nothing, as in the beam
+            total -= _log_softmax(scorer.score(text, tuple(gold[:end]), vocab), vocab)[index]
         if token != EOS:
             frame = _advance(tax, frame, index)
     return total
@@ -281,10 +298,11 @@ def _beam(
     table (built once from ``token_sort_key``), orders exactly like
     ``(-logprob, parent rank, candidate index)``: the float totals are laid
     out in that order and sorted stably by total alone (a memo row lays
-    out only what ``_memo_picks`` keeps). The ``beam_width`` best
+    out only what ``_memo_picks`` keeps, and a forced step one total, its
+    parent's log probability, with no scorer call). The ``beam_width`` best
     positions, re-sorted, give the next step's ranks; a bisect of the
     parents' first positions finds each one's parent. A survivor's token
-    comes from the vocabulary its parent was just scored over, so it
+    comes from the vocabulary its parent was just expanded over, so it
     advances without a second check. Banked hypotheses differ in length, so
     each gets its full key once, when it is banked.
     """
@@ -305,6 +323,10 @@ def _beam(
         starts, picks = [], []  # per parent rank: its first total's position, its totals' vocabulary indices
         for logprob, tokens, frame in active:
             starts.append(len(totals))
+            if len(frame[0]) == 1:  # forced: its one token at log probability 0.0, with no scorer call
+                picks.append((0,))
+                totals.append(logprob)
+                continue
             row = None if memo is None else memo.get(key := (tokens[-1], frame[0]))
             if row is None:
                 log_probs = _log_softmax(scorer.score(text, tokens, frame[0]), frame[0])

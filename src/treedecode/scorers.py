@@ -37,8 +37,8 @@ class UniformScorer:
     and the CLI's ``decode`` searches once per run, not once per document.
     Scores read no prefix either, but the class declares no ``markov_order``:
     a memo row costs a uniform search more than the scores it saves (one
-    beam-4 search of the benchmark's flat 12x2 tree took 5.9 ms with a
-    memo against 4.9 ms without, medians of 151; Python 3.11).
+    beam-4 search of the benchmark's flat 12x2 tree took 4.9 ms with a
+    memo against 4.1 ms without, medians of 151; Python 3.11).
     """
 
     reads_text = False

@@ -11,6 +11,10 @@ A scorer that declares ``markov_order = 1`` is scored once per (last
 token, vocabulary) per decode, whatever else it declares; ``Forwarding``
 hides the declaration, so the same scorer behind it is scored for every
 hypothesis at every step.
+
+A step whose vocabulary holds one token is forced: it costs 0.0 and asks
+the scorer nothing, so a scorer that cannot score a lone candidate
+(``LoneCandidateUnscored``) gives the same results bit for bit.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from conftest import random_consistent_labels, random_taxonomy
+from conftest import random_consistent_labels, random_taxonomy, shuffled_taxonomy
 from treedecode import (
     EOS,
     POP,
@@ -43,6 +47,7 @@ from treedecode import (
     max_decode_length,
     parse_taxonomy,
     restricted_log_softmax,
+    sequence_nll,
     step,
     unconstrained_decode,
 )
@@ -327,3 +332,104 @@ def test_only_the_bigram_scorer_declares_markov_order_one():
     assert BigramScorer.reads_text is UniformScorer.reads_text is False
     for scorer in (OracleScorer, RandomScorer):
         assert not hasattr(scorer, "reads_text")
+
+
+def nan_score(token):
+    return {token: math.nan}
+
+
+def no_score(token):
+    return {}
+
+
+class LoneCandidateUnscored:
+    """Forwards ``score`` to a scorer, keeping its ``markov_order``, except for a lone candidate.
+
+    A lone candidate gets ``lone(token)``: a NaN score or none at all, either of
+    which would end a decode that asked for it with an InvalidScoreError.
+    """
+
+    def __init__(self, scorer, lone):
+        self.scorer = scorer
+        self.lone = lone
+        if hasattr(scorer, "markov_order"):
+            self.markov_order = scorer.markov_order
+
+    def score(self, text, prefix, candidates):
+        if len(candidates) == 1:
+            return self.lone(candidates[0])
+        return self.scorer.score(text, prefix, candidates)
+
+
+class CandidateSizes:
+    """Forwards ``score`` to a scorer and records how many candidates each call was given."""
+
+    def __init__(self, scorer):
+        self.scorer = scorer
+        self.sizes = []
+
+    def score(self, text, prefix, candidates):
+        self.sizes.append(len(candidates))
+        return self.scorer.score(text, prefix, candidates)
+
+
+def forced_steps(tax, tokens):
+    """How many steps of a stored result, its ``<eos>`` included, had a one-token vocabulary."""
+    state, forced = initial_state(tax), 0
+    for token in [*tokens[1:], EOS]:
+        forced += len(dynamic_vocabulary(tax, state)) == 1
+        state = step(tax, state, token)
+    return forced
+
+
+def test_a_forced_step_asks_the_scorer_nothing():
+    # A one-token vocabulary gives its token log probability 0.0 whatever the
+    # score, so the search and sequence_nll take it without a scorer call: a
+    # scorer that cannot score a lone candidate changes no bit of either.
+    rng = random.Random(2216)
+    forced = 0
+    for case in range(25):
+        tax = shuffled_taxonomy(rng, rng.randint(2, 20), max_depth=rng.randint(1, 5))
+        gold = linearize(tax, random_consistent_labels(rng, tax))
+        text = f"case {case}"
+        scorers = (UniformScorer(), RandomScorer(case), OracleScorer(gold), counting_bigram(rng, tax))
+        for scorer in scorers:
+            for width in range(1, 5):
+                clean = constrained_beam_search(tax, scorer, text, width)
+                top = clean[0]
+                nll = sequence_nll(tax, scorer, text, top.tokens)
+                assert nll == -top.logprob
+                forced += forced_steps(tax, top.tokens)
+                for lone in (nan_score, no_score):
+                    wrapped = LoneCandidateUnscored(scorer, lone)
+                    assert bit_exact(constrained_beam_search(tax, wrapped, text, width)) == bit_exact(clean)
+                    assert sequence_nll(tax, wrapped, text, top.tokens).hex() == nll.hex()
+    assert forced > 0
+
+
+def flat_wide_taxonomy(rng, branching=12):
+    """A complete two-level tree of ``branching`` children per node, names a seeded permutation."""
+    names = [f"n{i:03d}" for i in rng.sample(range(1, 1000), branching + branching**2)]
+    tops, rest = names[:branching], iter(names[branching:])
+    edges = [("root", top) for top in tops]
+    edges += [(top, next(rest)) for top in tops for _ in range(branching)]
+    return Taxonomy.from_edges(edges)
+
+
+def test_the_scorer_is_only_asked_where_there_is_a_choice():
+    rng = random.Random(2217)
+    for case in range(20):
+        tax = shuffled_taxonomy(rng, rng.randint(2, 31), max_depth=rng.randint(1, 6))
+        for constrained in (True, False):
+            for width in (1, 4):
+                scorer = CandidateSizes(RandomScorer(case))
+                _beam(tax, scorer, f"case {case}", width, constrained)
+                assert min(scorer.sizes) >= 2, (case, constrained, width)
+    # One beam-4 uniform search of a flat 12x2 tree, the benchmark's uniform-wide
+    # shape: a search that also asked for forced steps made 1,144 calls, 528 of
+    # them with one candidate, and returned the same 235 tokens.
+    scorer = CandidateSizes(UniformScorer())
+    result = constrained_beam_search(flat_wide_taxonomy(random.Random(2218)), scorer, "", 4)[0]
+    assert len(scorer.sizes) == 1144 - 528
+    assert min(scorer.sizes) >= 2
+    assert len(result.tokens) == 235

@@ -475,7 +475,8 @@ def test_masked_and_restricted_scorers_agree(media_tax):
 
 
 def test_a_candidate_without_a_score_is_an_invalid_score(media_tax):
-    # Constrained, POP is first a candidate after a push, so a later step raises.
+    # Constrained, POP is first a candidate after a push, beside the pushed label's
+    # children, so a later step raises; a forced POP after a leaf is never scored.
     scorer = DroppingScorer(POP)
     for decode in (constrained_beam_search, unconstrained_decode):
         with pytest.raises(InvalidScoreError, match="no score for token 'POP'"):
