@@ -13,44 +13,17 @@ The vocabulary is never empty: once every child of the root has been
 visited and the stack is at the root, only ``<eos>`` remains. Raw scores
 from a pluggable scorer are normalized with a softmax over just this
 vocabulary, which is what guarantees that any decoded label set is
-consistent no matter how adversarial the scorer is.
+consistent no matter how adversarial the scorer is. The root token opens
+every sequence deterministically and carries no probability mass.
 
-A one-token vocabulary (POP after a leaf, ``<eos>`` once the root's
-children are used) is a forced step: the softmax gives its token log
-probability 0.0 whatever its finite score, so the beam and
-``sequence_nll`` take it without asking the scorer. Only the public
-``restricted_log_softmax`` still reads and checks the score of a
-one-token row.
-
-The root token opens every sequence deterministically and carries no
-probability mass.
-
-Beam search ranks hypotheses by ``(-logprob, lexicographic tokens)``,
-comparing tokens by a rank table built once per taxonomy from
-``token_sort_key`` (labels by name, then ``<eos>``, then POP), so results
-are deterministic under exact ties; a banked key holds a tuple of ranks.
-
-A step is list arithmetic over each hypothesis's vocabulary tuple, read
-from its automaton frame (see ``linearizer``) already in that order: no
-set is built, filtered or sorted. One list kernel (``_log_softmax``) reads
-the scorer's mapping once into a list aligned with the tuple, ignoring
-other keys, and turns it into log probabilities; ``restricted_log_softmax``
-and ``sequence_nll`` use the same kernel. A row whose scores are all equal
-(a uniform scorer, an oracle off its target, a context a bigram model never
-counted) becomes ``-log(n)`` per token with no exponentials, bit for bit
-what the general max-shifted formula gives. A scorer that declares
-``markov_order = 1`` is scored once per (last token, vocabulary) per
-decode, in a memo that lives for that decode only and holds no forced
-step. ``reads_text = False`` is read by the CLI's ``decode`` alone, which
-then searches once per run.
-Active hypotheses are plain ``(logprob, tokens, frame)`` tuples, banked
-ones ``(key, tokens)`` pairs, and only the final bank becomes
-``DecodedSequence`` objects. A step ranks its expansions' float totals
-with one stable sort; a memo row, ranked once when it is stored, adds only
-its ``beam_width`` best plus rounding ties. Only the survivors are built,
-each with one prefix copy and one frame advance, an O(|V|) splice. The
-public ``DecoderState`` keeps the stack and visited labels instead, which
-frames cannot give back.
+Each rule is stated once, where it is kept: the scorer contract, forced
+steps and the ``markov_order`` and ``reads_text`` promises in ``Scorer``;
+the softmax and its tied rows in ``_log_softmax``, the one kernel behind
+``restricted_log_softmax``, ``sequence_nll`` and the beam; ranking, the
+memo and the hypothesis layout in ``_beam`` and ``_memo_picks``; banking
+and stopping in ``constrained_beam_search``. The beam holds automaton
+frames (see ``linearizer``); the public ``DecoderState`` keeps the stack
+and visited labels instead, which frames cannot give back.
 """
 
 from __future__ import annotations
@@ -187,13 +160,13 @@ def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]
     Each token's score is read from ``raw``; other keys are ignored, and a
     token without a score is an InvalidScoreError. Numerically stable
     (max-shifted), hence exactly invariant under adding a constant to all
-    scores. A singleton yields log probability 0.0 exactly, and a row of n
-    equal finite scores yields ``-log(n)`` for each token without taking
-    exponentials: bit for bit what the general formula gives, since each
-    relative score is 0.0 and the sum of their exponentials is ``float(n)``.
-    This is the only softmax: ``restricted_log_softmax``, the beam and
-    ``sequence_nll`` all run through it. Only ``restricted_log_softmax``
-    passes it a singleton; the other two take that 0.0 without a score.
+    scores. A row of n equal finite scores, a singleton included, yields
+    ``0.0 - log(n)`` for each token without taking exponentials: bit for
+    bit what the general formula gives, since each relative score is 0.0
+    and the sum of their exponentials is ``float(n)``; a singleton gets
+    +0.0. This is the only softmax: ``restricted_log_softmax``, the beam
+    and ``sequence_nll`` all run through it, and only the first passes it
+    a singleton (the other two take a forced step without a score).
     """
     if not tokens:
         raise IllegalStateError("empty dynamic vocabulary")
@@ -209,13 +182,12 @@ def _log_softmax(raw: Mapping[str, float], tokens: Sequence[str]) -> list[float]
                 raise InvalidScoreError(f"non-finite score {value!r} for token {token!r}")
     # Work on max-relative logits only; absolute score levels never enter,
     # which is what makes constant shifts drop out exactly.
-    if len(values) == 1:
-        return [0.0]
     peak = max(values)
     if min(values) == peak:
         # A tied row: each relative score is 0.0, exp gives 1.0 and fsum
-        # float(n), so the formula below yields -log(n) for every token.
-        return [-math.log(len(values))] * len(values)
+        # float(n), so the formula below yields 0.0 - log(n) for every token
+        # (+0.0 for a singleton, where -log(1) would be -0.0).
+        return [0.0 - math.log(len(values))] * len(values)
     relative = [value - peak for value in values]
     log_norm = math.log(math.fsum(map(math.exp, relative)))
     return [r - log_norm for r in relative]
@@ -245,8 +217,7 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     Factorizes over steps: each token's probability comes from the
     restricted softmax over that step's dynamic vocabulary, the terminal
     ``<eos>`` step included. The forced root contributes 0, and so does
-    every forced (one-token vocabulary) step, which asks the scorer
-    nothing, as in the beam: a forced path costs exactly 0.
+    every forced step (see ``Scorer``), as in the beam.
     """
     report = validate_sequence(tax, gold)
     if not report.ok:
@@ -256,7 +227,7 @@ def sequence_nll(tax: Taxonomy, scorer: Scorer, text: str, gold: Sequence[str]) 
     for end, token in enumerate([*gold[1:], EOS], start=1):
         vocab = frame[0]
         index = vocab.index(token)
-        if len(vocab) > 1:  # a forced step costs 0.0 and asks the scorer nothing, as in the beam
+        if len(vocab) > 1:  # a forced step costs 0.0 and asks the scorer nothing
             total -= _log_softmax(scorer.score(text, tuple(gold[:end]), vocab), vocab)[index]
         if token != EOS:
             frame = _advance(tax, frame, index)

@@ -34,11 +34,9 @@ class UniformScorer:
     """Equal raw score (0.0) for every candidate.
 
     Scores never read the text, so the class declares ``reads_text = False``
-    and the CLI's ``decode`` searches once per run, not once per document.
-    Scores read no prefix either, but the class declares no ``markov_order``:
-    a memo row costs a uniform search more than the scores it saves (one
-    beam-4 search of the benchmark's flat 12x2 tree took 4.9 ms with a
-    memo against 4.1 ms without, medians of 151; Python 3.11).
+    (see ``decoding.Scorer``). Scores read no prefix either, but the class
+    declares no ``markov_order``: a memo row costs a uniform search more
+    than the scores it saves (CHANGES.md has the timings).
     """
 
     reads_text = False
@@ -100,12 +98,10 @@ class BigramScorer:
     ignored. Probabilities over the full alphabet sum to 1 for every
     context before any vocabulary restriction, and each score is exactly
     ``math.log(probability(prev, token))``. The counts are not meant to
-    change after construction. Scores read only ``prefix[-1]``, so the
-    class declares ``markov_order = 1``: beam search then scores each (last
-    token, vocabulary) once per decode. They never read the text, so it
-    declares ``reads_text = False``: the CLI's ``decode`` then searches once
-    per run, not once per document (see ``decoding.Scorer``). Only the
-    alphabet's size enters a probability, so its order carries no meaning.
+    change after construction. Scores read only ``prefix[-1]`` and never
+    the text, so the class declares ``markov_order = 1`` and ``reads_text =
+    False`` (see ``decoding.Scorer``). Only the alphabet's size enters a
+    probability, so its order carries no meaning.
     The constructor, and so ``load``, raises ModelFormatError for an
     alphabet that is empty, repeats a token or holds a non-string (add-one
     would divide by 0 or count a token twice), and for a count that is not an
@@ -138,12 +134,11 @@ class BigramScorer:
         self.alphabet = tuple(alphabet)
         self.counts = counts
         self.repaired_docs = repaired_docs
-        self._totals = {prev: sum(nxt.values()) for prev, nxt in counts.items()}
 
     def _add_one(self, prev: str, tokens: Iterable[str], apply: Callable[[float], float]) -> dict[str, float]:
         """``apply`` of the add-one probability of each of ``tokens`` after context ``prev``."""
         row = self.counts.get(prev, {})
-        denominator = self._totals.get(prev, 0) + len(self.alphabet)
+        denominator = sum(row.values()) + len(self.alphabet)
         return {token: apply((row.get(token, 0) + 1) / denominator) for token in tokens}
 
     def probability(self, prev: str, token: str) -> float:

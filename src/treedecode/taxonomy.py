@@ -1,17 +1,18 @@
 """Rooted label tree: parsing, validation, and label-set queries.
 
 The on-disk format is a UTF-8 TSV edge list, one ``parent<TAB>child`` per
-line; lines starting with ``#`` and blank lines are ignored. Names may not
-contain whitespace, which separates tokens in a rendered sequence. The
-root is the unique node that never appears as a child. Child order is the
-order of first appearance in the file and fixes linearization order; the
-decoder breaks ties by a rank table (labels by name, then ``<eos>``, then POP,
-as ``token_sort_key`` orders them), built once with the taxonomy by one sort
-of the node names. One walk of that order fills its alphabet and per-node
-start vocabularies (children, then POP or ``<eos>``). A valid file is read,
-checked and laid out in linear passes: the name rules run name by name only
-once a look at all names finds a suspect, and only the children with several
-parents are sorted, to report them.
+line; lines starting with ``#`` and blank lines (empty, or only spaces and
+tabs) are ignored. Only spaces and tabs around a name are stripped, and a
+name may not contain whitespace, which separates tokens in a rendered
+sequence. The root is the unique node that never appears as a child. Child
+order is the order of first appearance in the file and fixes linearization
+order; the decoder breaks ties by a rank table (labels by name, then
+``<eos>``, then POP, as ``token_sort_key`` orders them), built once with the
+taxonomy by one sort of the node names. One walk of that order fills its
+alphabet and per-node start vocabularies (children, then POP or ``<eos>``).
+A valid file is read, checked and laid out in linear passes: the name rules
+run name by name only once a look at all names finds a suspect, and only the
+children with several parents are sorted, to report them.
 """
 
 from __future__ import annotations
@@ -211,14 +212,14 @@ def _parse_edge_lines(text: str) -> tuple[list[tuple[str, str]], list[Issue]]:
         text = text[1:]
     # Only \n, \r\n and \r end a line, as in a file the CLI reads; str.splitlines() also splits at \v, U+2028...
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line[0] == "#":
             continue
         # Split before stripping, so that a blank name stays a field; tabs after the child are ignored.
         fields = raw.split("\t")
-        while len(fields) > 2 and not fields[-1].strip():
+        while len(fields) > 2 and not fields[-1].strip(" \t"):
             fields.pop()
-        parent, child = fields[0].strip(), fields[-1].strip()
+        parent, child = fields[0].strip(" \t"), fields[-1].strip(" \t")
         if len(fields) != 2:
             issues.append(Issue("EMPTY", f"line {lineno}: expected parent<TAB>child, got {len(fields)} fields"))
         elif not (parent and child):

@@ -133,6 +133,12 @@ def _issues(*pairs: tuple[str, str]) -> dict:
         ("Root\tA\nA\tB\x0bC\n", _issues(("WHITESPACE_NAME", "'B\\x0bC' contains whitespace"))),
         ("Root\tA\nA\tB\x85C\n", _issues(("WHITESPACE_NAME", "'B\\x85C' contains whitespace"))),
         ("Root\tA\nA\tB\u2028C\n", _issues(("WHITESPACE_NAME", "'B\\u2028C' contains whitespace"))),
+        # Only spaces and tabs are stripped from a line and its names, as in a corpus file; other
+        # whitespace at either end of a name stays in it, and a line of it is not blank.
+        ("Root\tA\x0c\n", _issues(("WHITESPACE_NAME", "'A\\x0c' contains whitespace"))),
+        ("Root\tA\xa0\n", _issues(("WHITESPACE_NAME", "'A\\xa0' contains whitespace"))),
+        ("\x85Root\tA\n", _issues(("WHITESPACE_NAME", "'\\x85Root' contains whitespace"))),
+        ("Root\tA\n\xa0\n", _issues(("EMPTY", "line 2: expected parent<TAB>child, got 1 fields"))),
         (  # \r\n and a lone \r still end lines, and are counted as one line each
             "Root\tA\r\nA B\rA\tC\r\nC D\n",
             _issues(
@@ -147,7 +153,8 @@ def _issues(*pairs: tuple[str, str]) -> dict:
     ],
     ids=[
         "structural", "lines-and-structural", "empty", "bom", "bom-repeated-root", "blank-fields",
-        "vertical-tab", "next-line", "line-separator", "crlf-and-cr", "comment-name",
+        "vertical-tab", "next-line", "line-separator", "trailing-form-feed", "trailing-no-break-space",
+        "leading-next-line", "no-break-space-line", "crlf-and-cr", "comment-name",
     ],
 )
 def test_full_validation_report(text, expected):
@@ -358,10 +365,10 @@ def _reference_report(text: str) -> dict:
         text = text[1:]
     edges = []
     for lineno, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        fields = [field.strip() for field in raw.split("\t")]
+        fields = [field.strip(" \t") for field in raw.split("\t")]
         while len(fields) > 2 and not fields[-1]:
             fields.pop()
         if len(fields) != 2:
